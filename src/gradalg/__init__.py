@@ -6,9 +6,9 @@ cross-checks decisions against bounded-degree graded-identity spaces, all in
 exact cyclotomic arithmetic.
 """
 
-from .cocycles import (Bicharacter, Cocycle, IrrepData, bicharacter_and_radical,
-                       coboundary_solve, enumerate_cocycle_classes, phi_ratio,
-                       smallest_irrep, transversal_normalize)
+from .cocycles import (Bicharacter, Cocycle, IrrepData, coboundary_solve,
+                       enumerate_cocycle_classes, smallest_irrep,
+                       transversal_normalize)
 from .embed import (EmbedDecision, construct, decide, decide_part1,
                     decide_part2, transversal_action)
 from .envelope import (alpha_envelope, falpha, genvelope, round_trip_iso,
@@ -16,7 +16,7 @@ from .envelope import (alpha_envelope, falpha, genvelope, round_trip_iso,
 from .galg import (AlgebraElement, DirectSumAlgebra, GradedHom,
                    GradedPresentation, HomCertificate, StructureAlgebra,
                    block_decompose, conjugate_presentation, permute_tuple,
-                   replace_representative, sub_presentation, support,
+                   replace_representative, sub_presentation,
                    to_structure_algebra, verify_hom)
 from .groups import FiniteGroup, GTuple, Subgroup, build_group, dihedral_table
 from .identities import (IdentitySpace, MultilinearPoly, ProductPoly, evaluate,
@@ -37,16 +37,16 @@ __all__ = [
     "GTuple", "GradedHom", "GradedPresentation", "HomCertificate",
     "IdentitySpace", "IrrepData", "MultilinearPoly", "ProductPoly",
     "SemisimplePresentation", "StructureAlgebra", "Subgroup",
-    "alpha_envelope", "bicharacter_and_radical", "block_decompose",
+    "alpha_envelope", "block_decompose",
     "build_group", "coboundary_solve", "conjugate_presentation", "construct",
     "coset_decompose", "decide", "decide_part1", "decide_part2",
     "dihedral_table", "embed_into_power", "enumerate_cocycle_classes",
     "equiv_mod", "evaluate", "exists_shift", "exists_shift_bruteforce",
     "falpha", "genvelope", "identity_space", "inclusion_bounded",
     "is_identity", "match_components", "match_permutation", "minimal_set",
-    "nonvanish_product", "pair_inclusion", "permute_tuple", "phi_ratio",
+    "nonvanish_product", "pair_inclusion", "permute_tuple",
     "replace_representative", "round_trip_iso", "smallest_irrep",
-    "standard_poly", "sub_presentation", "subsume_mod", "support",
+    "standard_poly", "sub_presentation", "subsume_mod",
     "to_structure_algebra", "transport_hom_through_envelope",
     "transversal_action", "transversal_normalize", "verify_hom",
     "witness_separate",

@@ -38,6 +38,15 @@ class InstanceDoc:
         self.raw = raw
 
 
+def _section(raw: dict, key: str, kind: type):
+    """The optional top-level entry `key`, which must be of type `kind`."""
+    value = raw.get(key, kind())
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ValidationError(f"$.{key}", f"{key} must be {what}")
+    return value
+
+
 def parse_doc(text: str) -> InstanceDoc:
     try:
         raw = json.loads(text)
@@ -55,19 +64,23 @@ def parse_doc(text: str) -> InstanceDoc:
     except Exception as exc:
         raise ValidationError("$.group", str(exc)) from None
     presentations = {}
-    for name, spec in raw.get("presentations", {}).items():
+    for name, spec in _section(raw, "presentations", dict).items():
         try:
             presentations[name] = GradedPresentation.from_json(group, spec)
         except Exception as exc:
             raise ValidationError(f"$.presentations.{name}", str(exc)) from None
     cocycles = {}
-    for name, spec in raw.get("cocycles", {}).items():
+    for name, spec in _section(raw, "cocycles", dict).items():
         try:
             cocycles[name] = Cocycle.from_json(group, spec)
         except Exception as exc:
             raise ValidationError(f"$.cocycles.{name}", str(exc)) from None
-    jobs = raw.get("jobs", [])
+    jobs = _section(raw, "jobs", list)
     for k, job in enumerate(jobs):
+        if not isinstance(job, dict):
+            raise ValidationError(f"$.jobs[{k}]", "job must be an object")
+        if not isinstance(job.get("args", {}), dict):
+            raise ValidationError(f"$.jobs[{k}].args", "args must be an object")
         cmd = job.get("command")
         if cmd not in ("decide", "construct", "identity-inclusion",
                        "envelope", "semisimple-embed"):
@@ -87,6 +100,13 @@ def _load_doc(path: str) -> InstanceDoc:
         return parse_doc(fh.read())
 
 
+def _presentation(doc: InstanceDoc, name: str, option: str):
+    """The presentation a command-line option names, which the doc must hold."""
+    if name not in doc.presentations:
+        raise ValidationError(option, f"unknown presentation {name!r}")
+    return doc.presentations[name]
+
+
 def _doc_slice(doc: InstanceDoc, names) -> dict:
     return {"version": doc.version,
             "group": group_to_json(doc.group),
@@ -102,7 +122,7 @@ def _emit(report: dict, human: str, verdict_false: bool) -> int:
 
 def _cmd_decide(args) -> int:
     doc = _load_doc(args.doc)
-    a, b = doc.presentations[args.a], doc.presentations[args.b]
+    a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
     t0 = time.time()
     decision = decide(a, b)
     report = {"command": "decide", "a": args.a, "b": args.b,
@@ -114,7 +134,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_construct(args) -> int:
     doc = _load_doc(args.doc)
-    a, b = doc.presentations[args.a], doc.presentations[args.b]
+    a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
     t0 = time.time()
     decision = decide(a, b)
     if not decision.verdict:
@@ -122,7 +142,7 @@ def _cmd_construct(args) -> int:
                   "decision": decision.to_json(), "hom": None}
         return _emit(report, "no embedding exists; nothing to construct", True)
     hom = construct(a, b, decision)
-    cert = verify_hom(hom)
+    cert = hom.certificate
     report = {"command": "construct", "a": args.a, "b": args.b,
               "decision": decision.to_json(), "hom": hom.to_json(),
               "certificate": cert.to_json(),
@@ -162,7 +182,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_inclusion(args) -> int:
     doc = _load_doc(args.doc)
-    a, b = doc.presentations[args.a], doc.presentations[args.b]
+    a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
     t0 = time.time()
     rep = inclusion_bounded(b, a, args.max_len, get_budget(args.budget))
     violation = None
@@ -181,7 +201,7 @@ def _cmd_inclusion(args) -> int:
 
 def _cmd_envelope(args) -> int:
     doc = _load_doc(args.doc)
-    b = doc.presentations[args.b]
+    b = _presentation(doc, args.b, "--b")
     if args.cocycle not in doc.cocycles:
         raise ValidationError("$.cocycles", f"unknown cocycle {args.cocycle!r}")
     alpha = doc.cocycles[args.cocycle]
@@ -198,8 +218,8 @@ def _cmd_semisimple(args) -> int:
     doc = _load_doc(args.doc)
     a_names = args.a.split(",")
     b_names = args.b.split(",")
-    a = SemisimplePresentation([doc.presentations[n] for n in a_names])
-    b = SemisimplePresentation([doc.presentations[n] for n in b_names])
+    a = SemisimplePresentation([_presentation(doc, n, "--a") for n in a_names])
+    b = SemisimplePresentation([_presentation(doc, n, "--b") for n in b_names])
     t0 = time.time()
     copies, hom, cert = embed_into_power(a, b)
     report = {"command": "semisimple-embed", "a": a_names, "b": b_names,

@@ -8,7 +8,6 @@ twisted group algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from . import linalg
@@ -194,13 +193,6 @@ class Bicharacter:
     def value(self, a: int, b: int) -> CyclotomicScalar:
         return self.values[(a, b)]
 
-    def is_isotropic(self, elements) -> bool:
-        return all(self.values[(a, b)].is_one() for a in elements for b in elements)
-
-
-def bicharacter_and_radical(alpha: Cocycle) -> Bicharacter:
-    return alpha.bicharacter()
-
 
 def coboundary_solve(alpha: Cocycle, require_symmetric: bool = True) -> dict:
     """A splitting mu with alpha(a,b) = mu(a) mu(b) / mu(ab), on abelian domain.
@@ -339,18 +331,6 @@ def smallest_irrep(gamma: Cocycle) -> IrrepData:
             mat[pos[wp]][j] = coeff
         rho[h] = mat
     return IrrepData(gamma, d, rho, isotropic, mu)
-
-
-def phi_ratio(alpha: Cocycle) -> Fraction:
-    """Largest-to-smallest irreducible dimension ratio; 1 on abelian domains,
-    where all simple summands of the twisted group algebra share one size."""
-    sub = alpha.subgroup
-    if not sub.is_abelian():
-        raise NonAbelianGroup("phi_ratio computed only for abelian subgroups")
-    data = smallest_irrep(alpha)
-    if sub.order % (data.dim * data.dim) != 0:
-        raise ArithmeticError("component dimensions inconsistent")
-    return Fraction(1)
 
 
 def transversal_normalize(alpha: Cocycle, h_sub: Subgroup, transversal: GTuple):

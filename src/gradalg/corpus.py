@@ -14,7 +14,7 @@ import random
 from .cocycles import enumerate_cocycle_classes
 from .embed import construct, decide, decide_part1, decide_part2
 from .errors import (BudgetExceeded, NotFoundWithinBudget, VerificationFailed)
-from .galg import GradedPresentation, verify_hom
+from .galg import GradedPresentation
 from .groups import FiniteGroup, GTuple
 from .identities import (inclusion_bounded, is_identity, separate_elementary,
                          separate_part1, separate_bounded)
@@ -87,17 +87,16 @@ def generate_corpus(seed: int, order_bound: int = 6,
         else:
             s = _random_tuple(rng, group)
             t = _random_tuple(rng, group)
-        a = GradedPresentation(group, n1, alpha, s, _spot_check=False)
+        a = GradedPresentation(group, n1, alpha, s)
         if shape == "rigged":
-            probe = decide(a, GradedPresentation(group, n2, beta, t,
-                                                 _spot_check=False))
+            probe = decide(a, GradedPresentation(group, n2, beta, t))
             if len(probe.pattern) <= MAX_TUPLE_LEN:
                 g = rng.randrange(group.order)
                 entries = list(probe.pattern.shift(g).entries)
                 while len(entries) < MAX_TUPLE_LEN and rng.random() < 0.4:
                     entries.append(rng.randrange(group.order))
                 t = GTuple(group, entries)
-        b = GradedPresentation(group, n2, beta, t, _spot_check=False)
+        b = GradedPresentation(group, n2, beta, t)
         instances.append(Instance(f"i{len(instances):04d}", shape, a, b))
     return instances
 
@@ -135,11 +134,7 @@ def run_instance(inst: Instance, max_len: int = 3,
     rec["cross_checks"] = cross
 
     if decision.verdict:
-        hom = construct(a, b, decision)
-        cert = verify_hom(hom)
-        if not cert.is_embedding:
-            raise VerificationFailed(f"{inst.name}: embedding not certified")
-        rec["certificate"] = cert.to_json()
+        rec["certificate"] = construct(a, b, decision).certificate.to_json()
         report = inclusion_bounded(b, a, max_len, budget)
         if not report.holds:
             raise VerificationFailed(

@@ -161,8 +161,7 @@ def _shifted_copy(b: GradedPresentation, g: int) -> tuple[GradedPresentation, Gr
     """The presentation on the shifted tuple; over an abelian group (or a
     trivial subgroup) the degree map is unchanged, so the identity on basis
     keys is a graded isomorphism onto the original."""
-    shifted = GradedPresentation(b.group, b.H, b.alpha, b.s.shift(g),
-                                 _spot_check=False)
+    shifted = GradedPresentation(b.group, b.H, b.alpha, b.s.shift(g))
     images = {k: b.basis_element(k) for k in shifted.basis_keys()}
     return shifted, GradedHom(shifted, b, images)
 
@@ -252,16 +251,15 @@ def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
 
     # normalize the source cocycle along the transversal and rescale
     alpha_t, c = transversal_normalize(a.alpha, h_sub, t1)
-    a_t = GradedPresentation(group, n1, alpha_t, a.s, _spot_check=False)
+    a_t = GradedPresentation(group, n1, alpha_t, a.s)
     eta = GradedHom(a, a_t, {
         (n, i, j): a_t.element({(n, i, j): c[n].inverse()})
         for n in n1 for i in range(a.r) for j in range(a.r)})
 
     # minimal-representation embedding of the intersection part
     x = GradedPresentation(group, h_sub, alpha_t.restrict(h_sub),
-                           GTuple.const(group, 1), _spot_check=False)
-    y = GradedPresentation(group, n2, b.alpha, GTuple.const(group, d),
-                           _spot_check=False)
+                           GTuple.const(group, 1))
+    y = GradedPresentation(group, n2, b.alpha, GTuple.const(group, d))
     phi_h = _part1_core(x, y, b.alpha)
 
     # spread over the transversal by the right regular action and extend
@@ -332,7 +330,13 @@ def _construct_elementary(a: GradedPresentation, b: GradedPresentation,
 
 def construct(a: GradedPresentation, b: GradedPresentation,
               decision: EmbedDecision) -> GradedHom:
-    """Build and certify the embedding promised by a true decision."""
+    """Build and certify the embedding promised by a true decision.
+
+    The intermediate maps (twist isomorphisms, representative replacements,
+    inclusions) are plain builders; the returned map is certified here, once,
+    by a full verify_hom sweep, and the HomCertificate is stored on it as
+    `hom.certificate`.  Raises VerificationFailed if the sweep fails.
+    """
     if not decision.verdict:
         raise DecisionFalse("construction requires a true decision")
     if a.same_data(b):
@@ -344,4 +348,5 @@ def construct(a: GradedPresentation, b: GradedPresentation,
     cert = verify_hom(hom)
     if not cert.is_embedding:
         raise VerificationFailed(f"constructed map failed certification: {cert!r}")
+    hom.certificate = cert
     return hom

@@ -3,21 +3,15 @@
 The degreewise envelope of two graded algebras keeps only the matching-degree
 part of the tensor product.  Twisting by a 2-cocycle has an explicit
 presentation-level normal form for presentations of graded-simple algebras,
-realized here together with its certified isomorphism.
+realized here together with the isomorphism onto it.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
 from .cocycles import Cocycle
 from .errors import MismatchedGroup, VerificationFailed
-from .galg import (AlgebraElement, GradedHom, GradedPresentation, _AlgebraBase,
-                   verify_hom)
+from .galg import AlgebraElement, GradedHom, GradedPresentation, _AlgebraBase
 from .groups import GTuple
-from .scalars import CyclotomicScalar
-
-ONE = CyclotomicScalar.one()
 
 
 class EnvelopeCarrier(_AlgebraBase):
@@ -75,7 +69,7 @@ def genvelope(left, right) -> EnvelopeResult:
 
 
 class AlphaEnvelope:
-    """Cocycle twist of a presentation: carrier, normal form, certified iso."""
+    """Cocycle twist of a presentation: carrier, normal form, iso onto it."""
 
     def __init__(self, carrier, presentation, iso):
         self.carrier = carrier
@@ -87,10 +81,22 @@ def alpha_envelope(b: GradedPresentation, alpha: Cocycle) -> AlphaEnvelope:
     """Twist a presentation by a cocycle defined around its support.
 
     The result presentation keeps the subgroup and tuple and multiplies the
-    cocycle; the isomorphism from the envelope carrier rescales each basis
-    line by a square-root unit.  Multiplicativity is certified; if the
-    canonical square-root branch happened to fail, per-index sign corrections
-    are searched before giving up.
+    cocycle; the isomorphism from the envelope carrier sends the line of
+    (h, i, j) to root_i * root_j / alpha(s_i^-1, h, s_j) times (h, i, j),
+    where root_i is the canonical square root of alpha(s_i^-1, s_i).
+
+    The iso is built, not certified: the `envelope` command certifies it
+    where it leaves the API, and embed.construct certifies the maps built
+    from it.
+
+    No other choice of roots can certify where this one fails.  For the
+    product of the lines (h, i, j) and (h', j, l), the factors carry
+    root_i root_j and root_j root_l and the product line (hh', i, l) carries
+    root_i root_l, so the roots enter the multiplicativity check only as
+    root_j^2 = alpha(s_j^-1, s_j), and a sign flip of root_j only as
+    (-1)^2 = 1.  Gradedness and injectivity do not depend on nonzero
+    scalars.  So every choice of signs or of square-root branches certifies
+    exactly when the canonical one does.
     """
     group = b.group
     domain = alpha.subgroup
@@ -103,34 +109,17 @@ def alpha_envelope(b: GradedPresentation, alpha: Cocycle) -> AlphaEnvelope:
     twist = GradedPresentation.twisted_group_algebra(alpha)
     carrier = EnvelopeCarrier(twist, b)
     new_alpha = b.alpha.product(alpha.restrict(b.H))
-    target = GradedPresentation(group, b.H, new_alpha, b.s, _spot_check=False)
+    target = GradedPresentation(group, b.H, new_alpha, b.s)
 
     inv = group.inverses
     roots = [alpha.values[(inv[si], si)].sqrt_root_of_unity() for si in b.s]
 
-    def build_iso(signs):
-        images = {}
-        for key in carrier.basis_keys():
-            (_, _, _), (h, i, j) = key
-            denom = alpha.iterated(GTuple(group, (inv[b.s[i]], h, b.s[j])))
-            coeff = signs[i] * signs[j] * roots[i] * roots[j] / denom
-            images[key] = target.element({(h, i, j): coeff})
-        return GradedHom(carrier, target, images)
-
-    base_signs = [ONE] * b.r
-    iso = build_iso(base_signs)
-    cert = verify_hom(iso)
-    if not cert.is_embedding:
-        minus = CyclotomicScalar.from_rational(-1)
-        for flips in iproduct((False, True), repeat=b.r - 1):
-            signs = [ONE] + [minus if f else ONE for f in flips]
-            iso = build_iso(signs)
-            cert = verify_hom(iso)
-            if cert.is_embedding:
-                break
-        else:
-            raise VerificationFailed("no sign correction certifies the twist iso")
-    return AlphaEnvelope(carrier, target, iso)
+    images = {}
+    for key in carrier.basis_keys():
+        (_, _, _), (h, i, j) = key
+        denom = alpha.iterated(GTuple(group, (inv[b.s[i]], h, b.s[j])))
+        images[key] = target.element({(h, i, j): roots[i] * roots[j] / denom})
+    return AlphaEnvelope(carrier, target, GradedHom(carrier, target, images))
 
 
 def round_trip_iso(b: GradedPresentation, alpha: Cocycle):

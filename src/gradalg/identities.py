@@ -519,17 +519,6 @@ class ProductPoly:
             acc = part if acc is None else acc * part
         return acc
 
-    def expand(self, term_budget: int = 200_000) -> MultilinearPoly:
-        total = 1
-        for atom in self.atoms:
-            total *= max(len(atom.coeffs), 1)
-            if total > term_budget:
-                raise BudgetExceeded("expansion would exceed the term budget")
-        out = self.atoms[0]
-        for atom in self.atoms[1:]:
-            out = out * atom
-        return out
-
     def _atom_value_set(self, atom: MultilinearPoly, algebra, budget: int):
         pools = [algebra.component(g) for g in atom.degrees]
         if any(not p for p in pools):

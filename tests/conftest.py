@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from gradalg import galg
 from gradalg.cocycles import enumerate_cocycle_classes
 from gradalg.groups import FiniteGroup, build_group, dihedral_table
 
@@ -28,3 +31,21 @@ def klein_classes(klein):
 def d4():
     return build_group({"kind": "table", "table": dihedral_table(4),
                         "name": "D4"})
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Replaces every gradalg binding of verify_hom with a wrapper that logs
+    each call; returns the list of swept homs."""
+    calls = []
+    original = galg.verify_hom
+
+    def counted(hom):
+        calls.append(hom)
+        return original(hom)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gradalg" \
+                and getattr(module, "verify_hom", None) is original:
+            monkeypatch.setattr(module, "verify_hom", counted)
+    return calls

@@ -72,6 +72,30 @@ def test_parse_rejects_unknown_job_reference():
         parse_doc(json.dumps(doc))
 
 
+_GROUP = {"kind": "cyclic", "n": 2}
+_TRIVIAL = {"H": {"elements": [0]},
+            "alpha": {"subgroup": {"elements": [0]},
+                      "values": [[{"conductor": 1, "coeffs": [["1", "1"]]}]]},
+            "s": {"entries": [0]}}
+
+
+@pytest.mark.parametrize("doc, argv, path", [
+    ({"group": _GROUP, "presentations": [_TRIVIAL]}, ["decide"],
+     "$.presentations"),
+    ({"group": _GROUP, "presentations": {"A": _TRIVIAL}, "jobs": ["decide"]},
+     ["run"], "$.jobs[0]"),
+    ({"group": _GROUP, "presentations": {"A": _TRIVIAL}}, ["decide"], "--b"),
+])
+def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
+                                                        argv, path):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    assert main([*argv, str(doc_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {path}: " in err
+
+
 def test_decide_exit_codes():
     fixture = str(FIXTURES / "klein_twisted.json")
     ok = run_cli(["decide", fixture, "--a", "A", "--b", "B2"])
@@ -102,6 +126,19 @@ def test_construct_then_verify_round_trip(tmp_path):
     verified = run_cli(["verify", str(report_path)])
     assert verified.returncode == 0
     assert json.loads(verified.stdout)["certificate"] == report["certificate"]
+
+
+def test_construct_sweeps_once_and_matches_verify(tmp_path, capsys, sweeps):
+    fixture = str(FIXTURES / "klein_twisted.json")
+    assert main(["construct", fixture, "--a", "A", "--b", "B2"]) == 0
+    built = capsys.readouterr().out
+    assert len(sweeps) == 1
+    report_path = tmp_path / "report.json"
+    report_path.write_text(built)
+    assert main(["verify", str(report_path)]) == 0
+    assert len(sweeps) == 2
+    verified = json.loads(capsys.readouterr().out)
+    assert verified["certificate"] == json.loads(built)["certificate"]
 
 
 def test_identity_inclusion_command():

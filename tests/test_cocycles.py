@@ -1,17 +1,14 @@
 """Cocycle validation, bicharacters, splittings and minimal representations."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from gradalg.cocycles import (Cocycle, abelian_basis, bicharacter_and_radical,
-                              coboundary_solve, element_coordinates,
-                              enumerate_cocycle_classes, phi_ratio,
+from gradalg.cocycles import (Cocycle, abelian_basis, coboundary_solve,
+                              element_coordinates, enumerate_cocycle_classes,
                               random_coboundary, smallest_irrep,
                               transversal_normalize)
-from gradalg.errors import (CocycleIdentityViolated, NonAbelianGroup,
-                            NotSymmetric)
+from gradalg.errors import CocycleIdentityViolated, NotSymmetric
 from gradalg.groups import FiniteGroup, GTuple, Subgroup
 from gradalg.scalars import CyclotomicScalar as C
 
@@ -72,9 +69,9 @@ def test_restrict(z4):
 
 def test_bicharacter_radicals(klein):
     alpha = klein_alpha(klein)
-    assert bicharacter_and_radical(alpha).radical.order == 1
+    assert alpha.bicharacter().radical.order == 1
     triv = Cocycle.trivial(klein.full_subgroup())
-    assert bicharacter_and_radical(triv).radical.order == 4
+    assert triv.bicharacter().radical.order == 4
 
 
 def test_cyclic_cocycles_have_full_radical():
@@ -166,19 +163,6 @@ def test_cohomologous_invariance(klein):
         assert twisted.bicharacter().radical.members == \
             alpha.bicharacter().radical.members
         assert smallest_irrep(twisted).dim == 2
-
-
-def test_phi_ratio(klein, z4):
-    assert phi_ratio(Cocycle.trivial(z4.full_subgroup())) == Fraction(1)
-    assert phi_ratio(klein_alpha(klein)) == Fraction(1)
-    z2z4 = FiniteGroup.product([FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)])
-    for alpha in enumerate_cocycle_classes(z2z4.full_subgroup()):
-        assert phi_ratio(alpha) == Fraction(1)
-
-
-def test_phi_ratio_rejects_nonabelian(d4):
-    with pytest.raises(NonAbelianGroup):
-        phi_ratio(Cocycle.trivial(d4.full_subgroup()))
 
 
 def test_iterated_values(klein):

@@ -1,9 +1,11 @@
 """Embedding decisions, certified constructions and route consistency."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from gradalg.cli import parse_doc
 from gradalg.cocycles import Cocycle, enumerate_cocycle_classes
 from gradalg.embed import (construct, decide, decide_part1, decide_part2,
                            transversal_action)
@@ -12,6 +14,8 @@ from gradalg.errors import (DecisionFalse, ElementOutsideGroup,
 from gradalg.galg import GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
 from gradalg.tuples import CosetMultiset, exists_shift, subsume_mod
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_self_embedding(klein, klein_classes):
@@ -22,6 +26,18 @@ def test_self_embedding(klein, klein_classes):
     assert decision.shift == klein.identity
     hom = construct(a, a, decision)
     assert verify_hom(hom).is_embedding
+
+
+def test_construct_certifies_once(sweeps):
+    """A twisted construction sweeps only the map it returns, and attaches
+    that sweep's certificate to it."""
+    doc = parse_doc((FIXTURES / "klein_twisted.json").read_text())
+    a, b = doc.presentations["A"], doc.presentations["B2"]
+    decision = decide(a, b)
+    hom = construct(a, b, decision)
+    assert sweeps == [hom]
+    assert hom.certificate.is_embedding
+    assert hom.certificate.to_json() == verify_hom(hom).to_json()
 
 
 def test_part1_threshold(klein, klein_classes):
@@ -129,15 +145,13 @@ def test_monotonicity_under_concatenation():
         n1, n2 = rng.choice(subs), rng.choice(subs)
         a = GradedPresentation(z6, n1, Cocycle.trivial(n1),
                                GTuple(z6, [rng.randrange(6)
-                                           for _ in range(rng.randrange(1, 3))]),
-                               _spot_check=False)
+                                           for _ in range(rng.randrange(1, 3))]))
         t = GTuple(z6, [rng.randrange(6) for _ in range(rng.randrange(1, 3))])
-        b = GradedPresentation(z6, n2, Cocycle.trivial(n2), t,
-                               _spot_check=False)
+        b = GradedPresentation(z6, n2, Cocycle.trivial(n2), t)
         if decide(a, b).verdict:
             bigger = GradedPresentation(
                 z6, n2, Cocycle.trivial(n2),
-                t.concat(GTuple(z6, [rng.randrange(6)])), _spot_check=False)
+                t.concat(GTuple(z6, [rng.randrange(6)])))
             assert decide(a, bigger).verdict
 
 
@@ -154,10 +168,8 @@ def test_part3_reduces_to_part2(klein, z4):
                                for _ in range(rng.randrange(1, 3))])
             t = GTuple(group, [rng.choice(n1.sorted_members)
                                for _ in range(rng.randrange(1, 4))])
-            a = GradedPresentation(group, n1, Cocycle.trivial(n1), s,
-                                   _spot_check=False)
-            b = GradedPresentation(group, n2, Cocycle.trivial(n2), t,
-                                   _spot_check=False)
+            a = GradedPresentation(group, n1, Cocycle.trivial(n1), s)
+            b = GradedPresentation(group, n2, Cocycle.trivial(n2), t)
             assert decide(a, b).verdict == decide_part2(a, b).verdict
             hits += 1
         assert hits == 60
@@ -176,12 +188,10 @@ def test_pattern_canonicalization_matches_brute_force(klein, z4):
             classes2 = enumerate_cocycle_classes(n2)
             a = GradedPresentation(group, n1, rng.choice(classes1),
                                    GTuple(group, [rng.randrange(group.order)
-                                                  for _ in range(rng.randrange(1, 3))]),
-                                   _spot_check=False)
+                                                  for _ in range(rng.randrange(1, 3))]))
             b = GradedPresentation(group, n2, rng.choice(classes2),
                                    GTuple(group, [rng.randrange(group.order)
-                                                  for _ in range(rng.randrange(1, 4))]),
-                                   _spot_check=False)
+                                                  for _ in range(rng.randrange(1, 4))]))
             decision = decide(a, b)
             d = decision.d
             transversal = decision.transversal
@@ -212,12 +222,10 @@ def test_soundness_on_small_corpus():
             n1, n2 = rng.choice(subs), rng.choice(subs)
             a = GradedPresentation(group, n1, Cocycle.trivial(n1),
                                    GTuple(group, [rng.randrange(n)
-                                                  for _ in range(rng.randrange(1, 3))]),
-                                   _spot_check=False)
+                                                  for _ in range(rng.randrange(1, 3))]))
             b = GradedPresentation(group, n2, Cocycle.trivial(n2),
                                    GTuple(group, [rng.randrange(n)
-                                                  for _ in range(rng.randrange(1, 4))]),
-                                   _spot_check=False)
+                                                  for _ in range(rng.randrange(1, 4))]))
             decision = decide(a, b)
             if decision.verdict:
                 hom = construct(a, b, decision)
@@ -285,12 +293,10 @@ def test_false_decisions_resist_monomial_oracle():
             n1, n2 = rng.choice(subs), rng.choice(subs)
             a = GradedPresentation(group, n1, Cocycle.trivial(n1),
                                    GTuple(group, [rng.randrange(n)
-                                                  for _ in range(rng.randrange(1, 3))]),
-                                   _spot_check=False)
+                                                  for _ in range(rng.randrange(1, 3))]))
             b = GradedPresentation(group, n2, Cocycle.trivial(n2),
                                    GTuple(group, [rng.randrange(n)
-                                                  for _ in range(rng.randrange(1, 3))]),
-                                   _spot_check=False)
+                                                  for _ in range(rng.randrange(1, 3))]))
             if a.dim > 9 or b.dim > 9 or decide(a, b).verdict:
                 continue
             checked += 1

@@ -1,8 +1,10 @@
 """Degreewise envelopes, cocycle twists, and polynomial transfer."""
 
+from itertools import product
+
 import pytest
 
-from gradalg.cocycles import Cocycle
+from gradalg.cocycles import Cocycle, enumerate_cocycle_classes
 from gradalg.envelope import (alpha_envelope, envelope_lift, falpha, genvelope,
                               round_trip_iso, transport_hom_through_envelope)
 from gradalg.errors import MismatchedGroup
@@ -76,6 +78,35 @@ def test_alpha_envelope_pure_group_algebra(klein, klein_classes):
     env = alpha_envelope(b, nt)
     assert env.presentation.alpha == nt.restrict(h)
     assert verify_hom(env.iso).is_embedding
+
+
+def test_every_small_twist_certifies(klein, z4):
+    """Oracle for the sign-free twist: over Z2xZ2 and Z4, every subgroup,
+    every cocycle class on it and on the whole group, and every tuple of
+    length 1 or 2 (300 twists), the canonical iso certifies, and so does
+    the iso with the sign of index 1 flipped."""
+    minus = C.from_rational(-1)
+    twists = 0
+    for group in (klein, z4):
+        alphas = enumerate_cocycle_classes(group.full_subgroup())
+        tuples = [GTuple(group, entries) for n in (1, 2)
+                  for entries in product(group.elements(), repeat=n)]
+        for h in group.all_subgroups():
+            for beta in enumerate_cocycle_classes(h):
+                for alpha in alphas:
+                    for s in tuples:
+                        b = GradedPresentation(group, h, beta, s)
+                        iso = alpha_envelope(b, alpha).iso
+                        assert verify_hom(iso).is_embedding
+                        twists += 1
+                        if b.r == 2:
+                            flipped = {key: img.scale(minus)
+                                       if (key[1][1] == 1) != (key[1][2] == 1)
+                                       else img
+                                       for key, img in iso.images.items()}
+                            assert verify_hom(GradedHom(
+                                iso.source, iso.target, flipped)).is_embedding
+    assert twists == 300
 
 
 def test_round_trip_fixture_set(klein, z4, klein_classes):

@@ -7,8 +7,7 @@ from gradalg.errors import MismatchedParent, NotSameCoset
 from gradalg.galg import (DirectSumAlgebra, GradedHom, GradedPresentation,
                           block_decompose, conjugate_presentation,
                           permute_tuple, replace_representative,
-                          sub_presentation, support, to_structure_algebra,
-                          verify_hom)
+                          sub_presentation, to_structure_algebra, verify_hom)
 from gradalg.groups import FiniteGroup, GTuple, Subgroup
 from gradalg.identities import identity_space
 from gradalg.scalars import CyclotomicScalar as C
@@ -40,13 +39,13 @@ def test_twisted_anticommutation(klein, klein_classes):
 
 def test_support_examples(z10):
     a1 = GradedPresentation.elementary(z10, GTuple(z10, [0, 1, 1, 1]))
-    assert support(a1) == {0, 1, 9}
+    assert a1.support() == {0, 1, 9}
     a2 = GradedPresentation.elementary(z10, GTuple(z10, [1, 1, 1, 3]))
-    assert support(a2) == {0, 2, 8}
+    assert a2.support() == {0, 2, 8}
     full = GradedPresentation(z10, z10.full_subgroup(),
                               Cocycle.trivial(z10.full_subgroup()),
                               GTuple(z10, [0, 7]))
-    assert support(full) == set(range(10))
+    assert full.support() == set(range(10))
 
 
 def test_dimension_formula(klein, klein_classes):

@@ -234,17 +234,6 @@ def test_separate_bounded_not_found():
         separate_bounded(mat(1), mat(1), max_len=2)
 
 
-def test_product_poly_expand_matches_product():
-    x = MultilinearPoly.variable(Z1, 0)
-    st2 = standard_poly(2, [0, 0], Z1)
-    pp = ProductPoly(Z1, [x, st2, x])
-    expanded = pp.expand()
-    m2 = mat(2)
-    keys = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
-    elements = [m2.basis_element(k) for k in keys]
-    assert pp.evaluate(elements) == evaluate(expanded, elements)
-
-
 def test_homomorphic_image_monotonicity(z10):
     from gradalg.galg import sub_presentation
     b = GradedPresentation.elementary(z10, GTuple(z10, [0, 1, 6]))
