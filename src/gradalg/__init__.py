@@ -21,7 +21,7 @@ from .galg import (AlgebraElement, DirectSumAlgebra, GradedHom,
 from .groups import FiniteGroup, GTuple, Subgroup, build_group, dihedral_table
 from .identities import (IdentitySpace, MultilinearPoly, ProductPoly, evaluate,
                          identity_space, inclusion_bounded, is_identity,
-                         nonvanish_product, standard_poly, witness_separate)
+                         standard_poly)
 from .scalars import CyclotomicScalar
 from .semisimple import (SemisimplePresentation, embed_into_power,
                          match_components, match_permutation, minimal_set,
@@ -44,10 +44,9 @@ __all__ = [
     "equiv_mod", "evaluate", "exists_shift", "exists_shift_bruteforce",
     "falpha", "genvelope", "identity_space", "inclusion_bounded",
     "is_identity", "match_components", "match_permutation", "minimal_set",
-    "nonvanish_product", "pair_inclusion", "permute_tuple",
+    "pair_inclusion", "permute_tuple",
     "replace_representative", "round_trip_iso", "smallest_irrep",
     "standard_poly", "sub_presentation", "subsume_mod",
     "to_structure_algebra", "transport_hom_through_envelope",
     "transversal_action", "transversal_normalize", "verify_hom",
-    "witness_separate",
 ]

@@ -38,12 +38,12 @@ class InstanceDoc:
         self.raw = raw
 
 
-def _section(raw: dict, key: str, kind: type):
-    """The optional top-level entry `key`, which must be of type `kind`."""
+def _section(raw: dict, key: str, kind: type, root: str = "$"):
+    """The optional entry `key` of the object at `root`, of type `kind`."""
     value = raw.get(key, kind())
     if not isinstance(value, kind):
         what = "an object" if kind is dict else "a list"
-        raise ValidationError(f"$.{key}", f"{key} must be {what}")
+        raise ValidationError(f"{root}.{key}", f"{key} must be {what}")
     return value
 
 
@@ -52,45 +52,55 @@ def parse_doc(text: str) -> InstanceDoc:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    return _doc_from_json(raw, "$")
+
+
+def _doc_from_json(raw, root: str) -> InstanceDoc:
+    """Validate a decoded document found at JSON path `root`."""
     if not isinstance(raw, dict):
-        raise ValidationError("$", "document must be an object")
+        raise ValidationError(root, "document must be an object")
     version = raw.get("version", 1)
     if version not in InstanceDoc.SUPPORTED_VERSIONS:
-        raise ValidationError("$.version", f"unsupported version {version}")
+        raise ValidationError(f"{root}.version",
+                              f"unsupported version {version}")
     try:
         group = build_group(raw["group"])
     except KeyError:
-        raise ValidationError("$.group", "missing group spec") from None
+        raise ValidationError(f"{root}.group", "missing group spec") from None
     except Exception as exc:
-        raise ValidationError("$.group", str(exc)) from None
+        raise ValidationError(f"{root}.group", str(exc)) from None
     presentations = {}
-    for name, spec in _section(raw, "presentations", dict).items():
+    for name, spec in _section(raw, "presentations", dict, root).items():
         try:
             presentations[name] = GradedPresentation.from_json(group, spec)
         except Exception as exc:
-            raise ValidationError(f"$.presentations.{name}", str(exc)) from None
+            raise ValidationError(f"{root}.presentations.{name}",
+                                  str(exc)) from None
     cocycles = {}
-    for name, spec in _section(raw, "cocycles", dict).items():
+    for name, spec in _section(raw, "cocycles", dict, root).items():
         try:
             cocycles[name] = Cocycle.from_json(group, spec)
         except Exception as exc:
-            raise ValidationError(f"$.cocycles.{name}", str(exc)) from None
-    jobs = _section(raw, "jobs", list)
+            raise ValidationError(f"{root}.cocycles.{name}",
+                                  str(exc)) from None
+    jobs = _section(raw, "jobs", list, root)
     for k, job in enumerate(jobs):
         if not isinstance(job, dict):
-            raise ValidationError(f"$.jobs[{k}]", "job must be an object")
+            raise ValidationError(f"{root}.jobs[{k}]", "job must be an object")
         if not isinstance(job.get("args", {}), dict):
-            raise ValidationError(f"$.jobs[{k}].args", "args must be an object")
+            raise ValidationError(f"{root}.jobs[{k}].args",
+                                  "args must be an object")
         cmd = job.get("command")
         if cmd not in ("decide", "construct", "identity-inclusion",
                        "envelope", "semisimple-embed"):
-            raise ValidationError(f"$.jobs[{k}].command", f"unknown: {cmd!r}")
+            raise ValidationError(f"{root}.jobs[{k}].command",
+                                  f"unknown: {cmd!r}")
         for key in ("a", "b"):
             name = job.get("args", {}).get(key)
             if name is not None:
                 for part in str(name).split(","):
                     if part not in presentations:
-                        raise ValidationError(f"$.jobs[{k}].args.{key}",
+                        raise ValidationError(f"{root}.jobs[{k}].args.{key}",
                                               f"unknown presentation {part!r}")
     return InstanceDoc(version, group, presentations, cocycles, jobs, raw)
 
@@ -100,9 +110,10 @@ def _load_doc(path: str) -> InstanceDoc:
         return parse_doc(fh.read())
 
 
-def _presentation(doc: InstanceDoc, name: str, option: str):
-    """The presentation a command-line option names, which the doc must hold."""
-    if name not in doc.presentations:
+def _presentation(doc: InstanceDoc, name, option: str):
+    """The presentation a command-line option or report field names, which
+    the doc must hold."""
+    if not isinstance(name, str) or name not in doc.presentations:
         raise ValidationError(option, f"unknown presentation {name!r}")
     return doc.presentations[name]
 
@@ -154,22 +165,50 @@ def _cmd_construct(args) -> int:
 
 
 def _hom_from_report(report: dict):
-    doc = report["doc"]
-    group = build_group(doc["group"])
-    a = GradedPresentation.from_json(group, doc["presentations"][report["a"]])
-    b = GradedPresentation.from_json(group, doc["presentations"][report["b"]])
+    """The map a construct report carries, with its document slice checked
+    like an instance document and every image entry checked against the
+    bases; a malformed report is a ValidationError at its JSON path."""
+    if "doc" not in report:
+        raise ValidationError("$.doc", "missing document slice")
+    doc = _doc_from_json(report["doc"], "$.doc")
+    a = _presentation(doc, report.get("a"), "$.a")
+    b = _presentation(doc, report.get("b"), "$.b")
+    src_keys, tgt_keys = set(a.basis_keys()), set(b.basis_keys())
+    hom = report["hom"]
+    entries = hom.get("images") if isinstance(hom, dict) else None
+    if not isinstance(entries, list):
+        raise ValidationError("$.hom.images", "images must be a list")
     images = {}
-    for entry in report["hom"]["images"]:
-        key = tuple(entry["key"])
-        terms = {tuple(t["key"]): CyclotomicScalar.from_json(t["coeff"])
-                 for t in entry["terms"]}
+    for n, entry in enumerate(entries):
+        try:
+            key = tuple(entry["key"])
+            terms = {tuple(t["key"]): CyclotomicScalar.from_json(t["coeff"])
+                     for t in entry["terms"]}
+            known = key in src_keys and terms.keys() <= tgt_keys
+        except (GradAlgError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
+            raise ValidationError(f"$.hom.images[{n}]",
+                                  f"malformed image: {exc!r}") from None
+        if not known:
+            raise ValidationError(f"$.hom.images[{n}]",
+                                  "basis key outside the algebra")
         images[key] = b.element(terms)
+    missing = src_keys - images.keys()
+    if missing:
+        raise ValidationError("$.hom.images",
+                              f"no image for basis key {min(missing)}")
     return GradedHom(a, b, images)
 
 
 def _cmd_verify(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+        text = fh.read()
+    try:
+        report = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError("$", f"invalid JSON: {exc}") from None
+    if not isinstance(report, dict):
+        raise ValidationError("$", "report must be an object")
     if report.get("hom") is None:
         raise ParseError("report carries no homomorphism to verify")
     hom = _hom_from_report(report)

@@ -97,10 +97,6 @@ class BudgetExceeded(GradAlgError):
     pass
 
 
-class InputIsIdentity(GradAlgError):
-    pass
-
-
 class NotFoundWithinBudget(GradAlgError):
     pass
 

@@ -9,8 +9,6 @@ envelopes, identity sweeps and homomorphism checks work uniformly.
 
 from __future__ import annotations
 
-import random
-
 from . import linalg
 from .cocycles import Cocycle
 from .errors import (MismatchedParent, NotSameCoset, NotSubgroup,
@@ -88,13 +86,6 @@ class AlgebraElement:
         for k, v in self.terms.items():
             row[key_index[k]] = v
         return row
-
-    def freeze(self):
-        """A hashable snapshot for value-set deduplication."""
-        items = []
-        for k, v in sorted(self.terms.items(), key=lambda kv: str(kv[0])):
-            items.append((k, v.conductor, v.coeffs))
-        return tuple(items)
 
     def __repr__(self):
         if not self.terms:
@@ -218,20 +209,20 @@ class GradedPresentation(_AlgebraBase):
 
 
 class StructureAlgebra(_AlgebraBase):
-    """A graded algebra given by structure constants over an integer basis."""
+    """A graded algebra given by structure constants over an integer basis.
 
-    FULL_ASSOC_LIMIT = 32
+    Built by from_algebra, which tabulates an algebra whose products are
+    already graded and associative, so the constants carry no check of
+    their own.
+    """
 
-    def __init__(self, group: FiniteGroup, grading, constants: dict,
-                 _validate: bool = True):
+    def __init__(self, group: FiniteGroup, grading, constants: dict):
         self.group = group
         self.grading = tuple(grading)
         self.dim = len(self.grading)
         self.constants = {k: {kk: vv for kk, vv in v.items() if not vv.is_zero()}
                           for k, v in constants.items()}
         self.constants = {k: v for k, v in self.constants.items() if v}
-        if _validate:
-            self._validate()
 
     def basis_keys(self):
         return list(range(self.dim))
@@ -241,27 +232,6 @@ class StructureAlgebra(_AlgebraBase):
 
     def mul_basis(self, k1, k2) -> dict:
         return self.constants.get((k1, k2), {})
-
-    def _validate(self):
-        t = self.group.table
-        for (i, j), prod in self.constants.items():
-            target = t[self.grading[i]][self.grading[j]]
-            for k in prod:
-                if self.grading[k] != target:
-                    raise VerificationFailed(
-                        f"product of basis {i},{j} leaves its component")
-        n = self.dim
-        if n <= self.FULL_ASSOC_LIMIT:
-            triples = ((a, b, c) for a in range(n) for b in range(n)
-                       for c in range(n))
-        else:
-            rng = random.Random(23)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(2000))
-        for a, b, c in triples:
-            x, y, z = (self.basis_element(k) for k in (a, b, c))
-            if (x * y) * z != x * (y * z):
-                raise VerificationFailed("structure constants not associative")
 
     @classmethod
     def from_algebra(cls, algebra) -> StructureAlgebra:
@@ -275,7 +245,7 @@ class StructureAlgebra(_AlgebraBase):
                 prod = algebra.mul_basis(k1, k2)
                 if prod:
                     constants[(i, j)] = {index[k]: v for k, v in prod.items()}
-        return cls(algebra.group, grading, constants, _validate=False)
+        return cls(algebra.group, grading, constants)
 
     def __repr__(self):
         return f"StructureAlgebra(dim={self.dim})"

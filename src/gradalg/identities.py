@@ -5,11 +5,31 @@ its variables) to coefficients.  Identity testing evaluates on graded basis
 elements only, which is complete by multilinearity; kernels are computed by
 exact elimination over the cyclotomic field.
 
-Two verified fast paths keep the sweeps tractable: fully antisymmetric
-polynomials vanish on repeated arguments and have order-independent values,
-so only distinct basis subsets are visited; and on presentations with a
-trivial cocycle over an abelian group, the twisted part contributes a common
-invertible factor, so vanishing only depends on the matrix-unit components.
+One kernel, `_word_values`, multiplies basis keys along words: for one
+assignment of basis keys it walks a prefix tree of the requested words depth
+first, computes each prefix product once, and drops a prefix whose product
+is zero with every word that extends it.  `identity_space` (one row per
+output key, one column per word), `is_identity`, the atom value sets of
+`ProductPoly` and the witness search of `separate_part1` all go through it.
+`evaluate`, the element-level product, stays as the independent route that
+witnesses and tests are checked with.
+
+Two shortcuts narrow the assignments visited for an antisymmetric
+polynomial u * (signed sum over all words); every assignment left out has
+the value 0 or +-(the value of one that is visited):
+
+- Equal degrees: only subsets of distinct basis keys are visited.  Swapping
+  two equal arguments negates the value, so a repeated key gives 0 (the
+  field has characteristic 0), and reordering a subset only changes a sign.
+- Matrix units: on a presentation with trivial cocycle over an abelian
+  group, (g, i, j)(h, j, l) = (gh, i, l) with coefficient 1.  At keys
+  (h_p, i_p, j_p) the value is u times the group element prod h_p times the
+  signed ordering sum of the units (i_p, j_p), and prod h_p =
+  prod deg_p * prod s_i s_j^-1 is the same for every way of giving the same
+  units to the positions (the key at a position is fixed by its unit and
+  degree).  So a repeated unit gives 0 as above, and the keys of one
+  bipartite matching per subset of distinct units, evaluated directly,
+  decide every assignment of that subset.
 """
 
 from __future__ import annotations
@@ -22,7 +42,7 @@ from math import comb, factorial
 from . import linalg
 from .cocycles import smallest_irrep
 from .errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
-                     InputIsIdentity, LengthMismatch, NonAbelianUnsupported,
+                     LengthMismatch, NonAbelianUnsupported,
                      NotFoundWithinBudget, VerificationFailed)
 from .galg import AlgebraElement, GradedPresentation, sub_presentation
 from .groups import FiniteGroup, GTuple
@@ -155,26 +175,86 @@ def evaluate(poly: MultilinearPoly, assignment) -> AlgebraElement:
     return out
 
 
-def _eval_on_keys(poly: MultilinearPoly, algebra, keys) -> dict:
-    """Evaluate at basis keys; returns sparse terms of the value."""
-    out: dict = {}
+def _word_trie(words) -> tuple:
+    """Prefix tree of `words`.  A node is a tuple of (letter, index of the
+    word that ends there or None, child node); letters keep first-seen
+    order, so a depth-first walk of lexicographically sorted words visits
+    them in list order."""
+    root: dict = {}
+    for widx, word in enumerate(words):
+        node = root
+        for v in word[:-1]:
+            node = node.setdefault(v, [None, {}])[1]
+        node.setdefault(word[-1], [None, {}])[0] = widx
+
+    def freeze(node):
+        return tuple((v, widx, freeze(child))
+                     for v, (widx, child) in node.items())
+    return freeze(root)
+
+
+def _word_values(algebra, keys, trie) -> list:
+    """The evaluation kernel: nonzero values of the trie's words at one
+    assignment of basis keys (variable v takes keys[v]).
+
+    Walks the trie depth first, so each prefix product is computed once and
+    a prefix whose product is zero is dropped with every word extending it.
+    Returns (word index, {key: scalar}) pairs in walk order.  A prefix of
+    one letter is stored with the coefficient ONE itself, and ONE * c is
+    skipped as c: both have the same value and the same conductor.
+    """
     mul = algebra.mul_basis
-    for word, c in poly.coeffs.items():
-        cur = {keys[word[0]]: ONE}
-        for v in word[1:]:
-            nxt: dict = {}
+    out = []
+
+    def walk(node, cur):
+        for v, widx, child in node:
             k2 = keys[v]
+            nxt: dict = {}
             for k, s in cur.items():
                 for kk, vv in mul(k, k2).items():
-                    acc = s * vv
+                    acc = vv if s is ONE else s * vv
                     nxt[kk] = nxt[kk] + acc if kk in nxt else acc
-            cur = {k: v2 for k, v2 in nxt.items() if not v2.is_zero()}
-            if not cur:
-                break
-        for k, s in cur.items():
+            nxt = {k: s for k, s in nxt.items() if not s.is_zero()}
+            if nxt:
+                if widx is not None:
+                    out.append((widx, nxt))
+                if child:
+                    walk(child, nxt)
+
+    for v, widx, child in trie:
+        cur = {keys[v]: ONE}
+        if widx is not None:
+            out.append((widx, cur))
+        if child:
+            walk(child, cur)
+    return out
+
+
+def _poly_trie(poly: MultilinearPoly):
+    """The prefix tree of poly's words and their coefficients, aligned."""
+    words = tuple(poly.coeffs)
+    return _word_trie(words), [poly.coeffs[w] for w in words]
+
+
+def _poly_value(algebra, keys, trie, coeffs) -> dict:
+    """Nonzero terms of sum_w coeffs[w] * value_w at one key assignment."""
+    out: dict = {}
+    for widx, terms in _word_values(algebra, keys, trie):
+        c = coeffs[widx]
+        for k, s in terms.items():
             acc = c * s
             out[k] = out[k] + acc if k in out else acc
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _assignments(pools, budget: int):
+    """All graded basis assignments, once their number fits the budget."""
+    count = 1
+    for p in pools:
+        count *= len(p)
+        if count > budget:
+            raise BudgetExceeded(f"assignment enumeration exceeds {budget}")
+    return iproduct(*pools)
 
 
 def _antisym_unit(poly: MultilinearPoly) -> CyclotomicScalar | None:
@@ -188,69 +268,6 @@ def _antisym_unit(poly: MultilinearPoly) -> CyclotomicScalar | None:
         if c != expected:
             return None
     return unit
-
-
-def _signed_subset_value(algebra, keys) -> dict:
-    """Sum of sign(w) * product over all orderings w of the given basis keys."""
-    n = len(keys)
-    mul = algebra.mul_basis
-    total: dict = {}
-
-    def rec(used: int, order_count: int, inversions: int, cur: dict | None):
-        if order_count == n:
-            sign = -1 if inversions % 2 else 1
-            for k, v in cur.items():
-                acc = v if sign == 1 else -v
-                total[k] = total[k] + acc if k in total else acc
-            return
-        for idx in range(n):
-            bit = 1 << idx
-            if used & bit:
-                continue
-            add_inv = bin(used >> (idx + 1)).count("1")
-            if cur is None:
-                nxt = {keys[idx]: ONE}
-            else:
-                nxt = {}
-                for k, s in cur.items():
-                    for kk, vv in mul(k, keys[idx]).items():
-                        acc = s * vv
-                        nxt[kk] = nxt[kk] + acc if kk in nxt else acc
-                nxt = {k: v for k, v in nxt.items() if not v.is_zero()}
-                if not nxt:
-                    continue
-            rec(used | bit, order_count + 1, inversions + add_inv, nxt)
-
-    rec(0, 0, 0, None)
-    return {k: v for k, v in total.items() if not v.is_zero()}
-
-
-def _signed_unit_subset_value(units) -> dict:
-    """Signed ordering sum for matrix units (i, j); integer-weighted output."""
-    n = len(units)
-    total: dict = {}
-
-    def rec(used: int, count: int, inversions: int, span):
-        if count == n:
-            sign = -1 if inversions % 2 else 1
-            total[span] = total.get(span, 0) + sign
-            return
-        for idx in range(n):
-            bit = 1 << idx
-            if used & bit:
-                continue
-            i, j = units[idx]
-            if span is None:
-                nxt = (i, j)
-            elif span[1] == i:
-                nxt = (span[0], j)
-            else:
-                continue
-            add_inv = bin(used >> (idx + 1)).count("1")
-            rec(used | bit, count + 1, inversions + add_inv, nxt)
-
-    rec(0, 0, 0, None)
-    return {k: v for k, v in total.items() if v}
 
 
 def _bipartite_match(items, pools) -> list | None:
@@ -279,10 +296,9 @@ def _bipartite_match(items, pools) -> list | None:
 
 
 class IdentityCheck:
-    def __init__(self, is_identity: bool, witness=None, value=None):
+    def __init__(self, is_identity: bool, witness=None):
         self.is_identity = is_identity
         self.witness = witness
-        self.value = value
 
     def __bool__(self):
         return self.is_identity
@@ -305,61 +321,50 @@ def _matrix_reduction_pools(poly: MultilinearPoly, algebra):
     return pools, lookup
 
 
-def is_identity(poly: MultilinearPoly, algebra,
-                budget: int | None = None) -> IdentityCheck:
-    """Exhaustive graded-basis evaluation, with verified antisymmetric and
-    trivial-cocycle shortcuts.  Returns a witness assignment on failure."""
-    budget = get_budget(budget)
-    if poly.is_zero():
-        return IdentityCheck(True)
+def _nonzero_values(poly: MultilinearPoly, algebra, budget: int):
+    """Yield (keys, value terms) for graded basis assignments on which poly
+    does not vanish, in enumeration order.  By multilinearity, poly is an
+    identity exactly when nothing is yielded; with an antisymmetric poly
+    the assignments are narrowed by the shortcuts of the module docstring,
+    and every assignment left out has the value 0 or +-(one that is kept).
+    """
     pools = [algebra.component(g) for g in poly.degrees]
-    if any(not p for p in pools):
-        return IdentityCheck(True)
-
+    if poly.is_zero() or any(not p for p in pools):
+        return
     unit = _antisym_unit(poly)
-    if unit is not None:
-        if len(set(poly.degrees)) == 1:
-            pool = pools[0]
-            if comb(len(pool), poly.n) > budget:
-                raise BudgetExceeded("too many basis subsets")
-            for subset in combinations(pool, poly.n):
-                val = _signed_subset_value(algebra, subset)
-                if val:
-                    value = algebra.element({k: unit * v for k, v in val.items()})
-                    return IdentityCheck(False, witness=subset, value=value)
-            return IdentityCheck(True)
-        reduction = _matrix_reduction_pools(poly, algebra)
-        if reduction is not None:
-            unit_pools, lookup = reduction
-            all_units = sorted(set().union(*unit_pools))
-            if comb(len(all_units), poly.n) > budget:
-                raise BudgetExceeded("too many unit subsets")
+    if unit is not None and len(set(poly.degrees)) == 1:
+        if comb(len(pools[0]), poly.n) > budget:
+            raise BudgetExceeded("too many basis subsets")
+        candidates = combinations(pools[0], poly.n)
+    elif unit is not None and (
+            reduction := _matrix_reduction_pools(poly, algebra)) is not None:
+        unit_pools, lookup = reduction
+        all_units = sorted(set().union(*unit_pools))
+        if comb(len(all_units), poly.n) > budget:
+            raise BudgetExceeded("too many unit subsets")
+
+        def matched():
             for subset in combinations(all_units, poly.n):
                 assign = _bipartite_match(subset, unit_pools)
-                if assign is None:
-                    continue
-                val = _signed_unit_subset_value(subset)
-                if val:
-                    keys = tuple(lookup[pos][subset[assign[pos]]]
-                                 for pos in range(poly.n))
-                    value = evaluate(poly, [algebra.basis_element(k)
-                                            for k in keys])
-                    if value.is_zero():
-                        raise VerificationFailed(
-                            "unit-subset shortcut disagreed with evaluation")
-                    return IdentityCheck(False, witness=keys, value=value)
-            return IdentityCheck(True)
+                if assign is not None:
+                    yield tuple(lookup[pos][subset[assign[pos]]]
+                                for pos in range(poly.n))
+        candidates = matched()
+    else:
+        candidates = _assignments(pools, budget)
+    trie, coeffs = _poly_trie(poly)
+    for keys in candidates:
+        value = _poly_value(algebra, keys, trie, coeffs)
+        if value:
+            yield keys, value
 
-    count = 1
-    for p in pools:
-        count *= len(p)
-        if count > budget:
-            raise BudgetExceeded(f"assignment enumeration exceeds {budget}")
-    for keys in iproduct(*pools):
-        val = _eval_on_keys(poly, algebra, keys)
-        if val:
-            return IdentityCheck(False, witness=keys,
-                                 value=algebra.element(val))
+
+def is_identity(poly: MultilinearPoly, algebra,
+                budget: int | None = None) -> IdentityCheck:
+    """Graded-basis evaluation through the kernel, with the antisymmetric
+    and matrix-unit shortcuts.  Returns a witness assignment on failure."""
+    for keys, _ in _nonzero_values(poly, algebra, get_budget(budget)):
+        return IdentityCheck(False, witness=keys)
     return IdentityCheck(True)
 
 
@@ -410,35 +415,18 @@ def identity_space(algebra, degrees, budget: int | None = None) -> IdentitySpace
         space = IdentitySpace(algebra, degrees, words, vectors)
         cache[degrees] = space
         return space
-    count = 1
-    for p in pools:
-        count *= len(p)
-        if count > budget:
-            raise BudgetExceeded(f"assignment enumeration exceeds {budget}")
+    trie = _word_trie(words)
     ech = linalg.Echelon(len(words))
     zero = CyclotomicScalar.zero()
-    mul = algebra.mul_basis
-    for keys in iproduct(*pools):
+    for keys in _assignments(pools, budget):
         per_out: dict = {}
-        for widx, word in enumerate(words):
-            cur = {keys[word[0]]: ONE}
-            for v in word[1:]:
-                nxt: dict = {}
-                k2 = keys[v]
-                for k, s in cur.items():
-                    for kk, vv in mul(k, k2).items():
-                        acc = s * vv
-                        nxt[kk] = nxt[kk] + acc if kk in nxt else acc
-                cur = {k: v2 for k, v2 in nxt.items() if not v2.is_zero()}
-                if not cur:
-                    break
-            for k, s in cur.items():
+        for widx, terms in _word_values(algebra, keys, trie):
+            for k, s in terms.items():
                 if k not in per_out:
                     per_out[k] = [zero] * len(words)
-                per_out[k][widx] = per_out[k][widx] + s
+                per_out[k][widx] = s
         for row in per_out.values():
-            if any(not c.is_zero() for c in row):
-                ech.add_row(row)
+            ech.add_row(row)
     space = IdentitySpace(algebra, degrees, words, ech.kernel_basis())
     cache[degrees] = space
     return space
@@ -520,31 +508,10 @@ class ProductPoly:
         return acc
 
     def _atom_value_set(self, atom: MultilinearPoly, algebra, budget: int):
-        pools = [algebra.component(g) for g in atom.degrees]
-        if any(not p for p in pools):
-            return []
         values: dict = {}
-        unit = _antisym_unit(atom)
-        if unit is not None and len(set(atom.degrees)) == 1:
-            pool = pools[0]
-            if comb(len(pool), atom.n) > budget:
-                raise BudgetExceeded("atom subset enumeration too large")
-            for subset in combinations(pool, atom.n):
-                val = _signed_subset_value(algebra, subset)
-                if val:
-                    el = algebra.element({k: unit * v for k, v in val.items()})
-                    values.setdefault(_freeze_projective(el), el)
-            return list(values.values())
-        count = 1
-        for p in pools:
-            count *= len(p)
-            if count > budget:
-                raise BudgetExceeded("atom enumeration too large")
-        for keys in iproduct(*pools):
-            val = _eval_on_keys(atom, algebra, keys)
-            if val:
-                el = algebra.element(val)
-                values.setdefault(_freeze_projective(el), el)
+        for _, terms in _nonzero_values(atom, algebra, budget):
+            el = algebra.element(terms)
+            values.setdefault(_freeze_projective(el), el)
         return list(values.values())
 
     def is_identity_on(self, algebra, budget: int | None = None) -> bool:
@@ -577,29 +544,6 @@ class ProductPoly:
 
 
 # -- separators -------------------------------------------------------------------
-
-def nonvanish_product(algebra, f1: MultilinearPoly, f2: MultilinearPoly,
-                      budget: int | None = None):
-    """A bridging variable and witness making f1 * x * f2 nonvanishing."""
-    c1 = is_identity(f1, algebra, budget)
-    if c1.is_identity:
-        raise InputIsIdentity("first factor is an identity")
-    c2 = is_identity(f2, algebra, budget)
-    if c2.is_identity:
-        raise InputIsIdentity("second factor is an identity")
-    v1 = c1.value
-    v2 = c2.value
-    for key in algebra.basis_keys():
-        mid = algebra.basis_element(key)
-        value = v1 * mid * v2
-        if not value.is_zero():
-            bridge = MultilinearPoly.variable(algebra.group,
-                                              algebra.basis_degree(key))
-            poly = f1 * bridge * f2
-            assignment = tuple(c1.witness) + (key,) + tuple(c2.witness)
-            return poly, key, assignment, value
-    raise VerificationFailed("no bridging element found in a simple algebra")
-
 
 class SeparatorResult:
     def __init__(self, kind, poly, witness_a, degrees):
@@ -645,13 +589,15 @@ def separate_part1(a: GradedPresentation, b: GradedPresentation,
     if r2 >= d * r1:
         raise DecisionWasTrue("embedding criterion holds; nothing separates")
     length = 2 * r2
+    e = group.identity
+    # the signed sum over all orderings, which is st_length at any degrees
+    trie, signs = _poly_trie(standard_poly(length, [e] * length, group))
     witness = None
     if r1 > r2:
         # a staircase of matrix units chains in exactly one order
-        e = group.identity
         units = _staircase_units(list(range(r2 + 1)), length)
         witness = tuple((e, i, j) for i, j in units)
-        if not _signed_subset_value(a, witness):
+        if not _poly_value(a, witness, trie, signs):
             witness = None
     if witness is None:
         r1pp = min(r1, (r2 + d) // d)  # smallest block with d*r1pp > r2
@@ -660,7 +606,7 @@ def separate_part1(a: GradedPresentation, b: GradedPresentation,
         if comb(len(keys), length) > budget:
             raise NotFoundWithinBudget("witness subset search exceeds budget")
         for subset in combinations(keys, length):
-            if _signed_subset_value(sub, subset):
+            if _poly_value(sub, subset, trie, signs):
                 witness = subset
                 break
         if witness is None:
@@ -744,13 +690,3 @@ def separate_bounded(a, b, max_len: int = 4,
     degrees, poly, witness = report.violation
     return SeparatorResult("bounded_fallback", poly, witness, degrees)
 
-
-def witness_separate(a: GradedPresentation, b: GradedPresentation, case: str,
-                     max_len: int = 4, budget: int | None = None) -> SeparatorResult:
-    if case == "part1":
-        return separate_part1(a, b, budget)
-    if case == "elementary_nonabelian":
-        return separate_elementary(a, b, budget)
-    if case == "bounded_fallback":
-        return separate_bounded(a, b, max_len, budget)
-    raise ValueError(f"unknown separator case: {case}")

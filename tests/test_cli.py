@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gradalg.cli import main, parse_doc
+from gradalg.corpus import run_corpus
 from gradalg.errors import ParseError, ValidationError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -91,6 +92,30 @@ def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(doc))
     assert main([*argv, str(doc_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {path}: " in err
+
+
+_ONE = {"conductor": 1, "coeffs": [["1", "1"]]}
+_STRAY_IMAGE = {
+    "a": "A", "b": "A",
+    "doc": {"version": 1, "group": _GROUP, "presentations": {"A": _TRIVIAL}},
+    "hom": {"images": [{"key": [0, 0, 0],
+                        "terms": [{"key": [1, 0, 0], "coeff": _ONE}]}]}}
+
+
+@pytest.mark.parametrize("text, path", [
+    ("{not json", "$"),
+    ("[]", "$"),
+    (json.dumps({"a": "A", "b": "A", "hom": {"images": []}}), "$.doc"),
+    (json.dumps(_STRAY_IMAGE), "$.hom.images[0]"),
+], ids=["invalid-json", "top-level-list", "no-doc", "stray-image-key"])
+def test_verify_rejects_malformed_report_without_traceback(tmp_path, capsys,
+                                                           text, path):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(text)
+    assert main(["verify", str(report_path)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: {path}: " in err
@@ -193,6 +218,13 @@ def test_corpus_run_limited():
     again = run_cli(["corpus-run", "--seed", "7", "--count", "12",
                      "--limit", "12"])
     assert again.stdout == out.stdout
+
+
+def test_corpus_workers_give_identical_records():
+    serial = run_corpus(20250809, count=8, max_len=2, workers=1)
+    pooled = run_corpus(20250809, count=8, max_len=2, workers=2)
+    assert json.dumps(pooled, sort_keys=True) == json.dumps(serial,
+                                                            sort_keys=True)
 
 
 def test_main_error_exit():

@@ -1,5 +1,7 @@
 """Group construction, validation, subgroup services and tuples."""
 
+import random
+
 import pytest
 
 from gradalg.errors import (MismatchedParent, NotAssociative, NotLatinSquare,
@@ -47,6 +49,24 @@ def test_bad_latin_square_rejected():
 def test_non_associative_rejected():
     # a Latin square that is not associative
     table = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+    with pytest.raises(NotAssociative):
+        build_group({"kind": "table", "table": table})
+
+
+def test_large_non_associative_table_rejected():
+    # Z256 with the symbols of one intercalate (rows 1, 129, columns 2, 130)
+    # swapped: still a Latin square with identity 0, but not associative.
+    n, h = 256, 128
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    for x in (1, 1 + h):
+        for y in (2, 2 + h):
+            table[x][y] = (table[x][y] + h) % n
+    # 4096 seeded random triples, as a sampled check would draw them, all
+    # associate: only an exact test rejects this table
+    rng = random.Random(0)
+    for _ in range(4096):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        assert table[table[a][b]][c] == table[a][table[b][c]]
     with pytest.raises(NotAssociative):
         build_group({"kind": "table", "table": table})
 

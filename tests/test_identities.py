@@ -1,17 +1,19 @@
 """Identity testing, kernels, inclusion and separator construction."""
 
+from itertools import combinations_with_replacement
+from itertools import product as iproduct
+
 import pytest
 
 from gradalg.cocycles import Cocycle
 from gradalg.errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
-                            InputIsIdentity, NotFoundWithinBudget)
+                            NotFoundWithinBudget)
 from gradalg.galg import DirectSumAlgebra, GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
 from gradalg.identities import (MultilinearPoly, ProductPoly, evaluate,
                                 identity_space, inclusion_bounded, is_identity,
-                                nonvanish_product, separate_bounded,
-                                separate_elementary, separate_part1,
-                                standard_poly, witness_separate)
+                                separate_bounded, separate_elementary,
+                                separate_part1, standard_poly)
 from gradalg.scalars import CyclotomicScalar as C
 
 Z1 = FiniteGroup.cyclic(1)
@@ -170,33 +172,12 @@ def test_direct_sum_identities_are_intersection(z10):
                 assert ech_sum.contains(v)
 
 
-def test_nonvanish_product_examples():
-    m2 = mat(2)
-    x = MultilinearPoly.variable(Z1, 0)
-    poly, key, assignment, value = nonvanish_product(m2, x, x)
-    assert not value.is_zero()
-    assert len(assignment) == 3
-    with pytest.raises(InputIsIdentity):
-        nonvanish_product(m2, standard_poly(4, [0] * 4, Z1), x)
-
-
-def test_nonvanish_chained(klein, klein_classes):
-    _, nt = klein_classes
-    ka = GradedPresentation.twisted_group_algebra(nt)
-    x = MultilinearPoly.variable(klein, 2)
-    y = MultilinearPoly.variable(klein, 1)
-    poly, key, assignment, value = nonvanish_product(ka, x, y)
-    z = MultilinearPoly.variable(klein, 3)
-    poly2, key2, assignment2, value2 = nonvanish_product(ka, poly, z)
-    assert not value2.is_zero()
-
-
 def test_separate_part1_klein(klein, klein_classes):
     triv, nt = klein_classes
     a = GradedPresentation.twisted_group_algebra(nt)
     b = GradedPresentation(klein, klein.full_subgroup(), triv,
                            GTuple.const(klein, 1))
-    sep = witness_separate(a, b, "part1")
+    sep = separate_part1(a, b)
     assert sep.kind == "part1"
     assert is_identity(sep.poly, b).is_identity
     assert not is_identity(sep.poly, a).is_identity
@@ -215,7 +196,7 @@ def test_separate_elementary_two_block_shape(z4):
     h2 = z4.subgroup([0, 2])
     a = GradedPresentation(z4, h2, Cocycle.trivial(h2), GTuple(z4, [0, 1]))
     b = GradedPresentation.elementary(z4, GTuple(z4, [0]))
-    sep = witness_separate(a, b, "elementary_nonabelian")
+    sep = separate_elementary(a, b)
     assert isinstance(sep.poly, ProductPoly)
     assert sep.poly.is_identity_on(b)
     val = sep.poly.evaluate([a.basis_element(k) for k in sep.witness_a])
@@ -223,7 +204,7 @@ def test_separate_elementary_two_block_shape(z4):
 
 
 def test_separate_bounded_commutator():
-    sep = witness_separate(mat(2), mat(1), "bounded_fallback", max_len=2)
+    sep = separate_bounded(mat(2), mat(1), max_len=2)
     assert sep.kind == "bounded_fallback"
     assert is_identity(sep.poly, mat(1)).is_identity
     assert not is_identity(sep.poly, mat(2)).is_identity
@@ -257,3 +238,122 @@ def test_budget_env_override(monkeypatch):
     assert get_budget(77) == 77
     monkeypatch.delenv("GRADALG_BUDGET")
     assert get_budget() == 10_000_000
+
+
+# -- oracles: the kernel and its shortcuts against element-level evaluate -----
+
+def _small_algebras(klein, klein_classes, z4):
+    """Small presentations over Z2xZ2 and Z4 (twisted, trivially twisted
+    with a matrix part, elementary) and one direct sum."""
+    _, nt = klein_classes
+    kz = klein.subgroup([0, 1])
+    h2 = z4.subgroup([0, 2])
+    twisted = GradedPresentation.twisted_group_algebra(nt)
+    return [
+        twisted,
+        GradedPresentation(klein, kz, Cocycle.trivial(kz),
+                           GTuple(klein, [0, 2])),
+        GradedPresentation(z4, h2, Cocycle.trivial(h2), GTuple(z4, [0, 1])),
+        GradedPresentation.elementary(z4, GTuple(z4, [0, 1, 3])),
+        DirectSumAlgebra([twisted, GradedPresentation.elementary(
+            klein, GTuple(klein, [0, 3]))]),
+    ]
+
+
+def _assignments(algebra, degrees):
+    pools = [algebra.component(g) for g in degrees]
+    return list(iproduct(*pools))
+
+
+def _value(poly, algebra, keys):
+    return evaluate(poly, [algebra.basis_element(k) for k in keys])
+
+
+def test_identity_spaces_match_full_evaluation(klein, klein_classes, z4):
+    """At lengths <= 3, every kernel vector vanishes on every graded basis
+    assignment, and the kernel has the dimension of the null space of the
+    evaluation matrix built with evaluate."""
+    from gradalg import linalg
+    for algebra in _small_algebras(klein, klein_classes, z4):
+        supp = sorted(algebra.support())
+        for length in (1, 2, 3):
+            for degrees in combinations_with_replacement(supp, length):
+                sp = identity_space(algebra, degrees)
+                assignments = _assignments(algebra, degrees)
+                for poly in sp.polys():
+                    assert all(_value(poly, algebra, keys).is_zero()
+                               for keys in assignments)
+                monomials = [MultilinearPoly(algebra.group, degrees,
+                                             {w: C.one()})
+                             for w in sp.words]
+                rows = []
+                for keys in assignments:
+                    values = [_value(m, algebra, keys) for m in monomials]
+                    for out in {k for v in values for k in v.terms}:
+                        rows.append([v.terms.get(out, C.zero())
+                                     for v in values])
+                rank = linalg.rank(rows, len(sp.words))
+                assert sp.dim == len(sp.words) - rank
+
+
+def test_is_identity_shortcuts_match_full_enumeration(klein, klein_classes,
+                                                      z4):
+    """Antisymmetric polynomials take the subset shortcut (equal degrees) or
+    the matrix-unit shortcut (mixed degrees on a trivially twisted
+    presentation over an abelian group); each verdict agrees with
+    evaluation on every assignment, and each witness evaluates nonzero."""
+    from gradalg.identities import _matrix_reduction_pools
+    seen = set()
+    zeta = C.zeta(4)
+    for algebra in _small_algebras(klein, klein_classes, z4):
+        supp = sorted(algebra.support())
+        for length in (1, 2, 3, 4):
+            for degrees in combinations_with_replacement(supp, length):
+                st = standard_poly(length, degrees, algebra.group)
+                if len(set(degrees)) == 1:
+                    path = "subset"
+                elif _matrix_reduction_pools(st, algebra) is not None:
+                    path = "matrix-unit"
+                elif length > 3:
+                    continue
+                else:
+                    path = "full"
+                # a unit other than 1 too, except at length 4 (for time)
+                polys = [st] if length > 3 else [st, st.scale(zeta)]
+                for poly in polys:
+                    check = is_identity(poly, algebra)
+                    vanishes = all(_value(poly, algebra, keys).is_zero()
+                                   for keys in _assignments(algebra, degrees))
+                    assert check.is_identity == vanishes
+                    if not vanishes:
+                        keys = check.witness
+                        assert tuple(algebra.basis_degree(k)
+                                     for k in keys) == degrees
+                        assert not _value(poly, algebra, keys).is_zero()
+                    seen.add((path, vanishes))
+    assert seen == {(p, v) for p in ("subset", "matrix-unit", "full")
+                    for v in (True, False)}
+
+
+def test_product_value_sets_match_full_enumeration(z4):
+    """ProductPoly.is_identity_on, which folds per-atom value sets from the
+    same enumeration, agrees with evaluating every assignment."""
+    h2 = z4.subgroup([0, 2])
+    algebras = [GradedPresentation(z4, h2, Cocycle.trivial(h2),
+                                   GTuple(z4, [0, 1])),
+                GradedPresentation.elementary(z4, GTuple(z4, [0, 1, 3]))]
+    verdicts = set()
+    for algebra in algebras:
+        for d1, d2, d3 in combinations_with_replacement(range(4), 3):
+            atoms = [standard_poly(2, [d1, d2], z4),
+                     MultilinearPoly.variable(z4, d3),
+                     standard_poly(2, [d2, d2], z4)]
+            product = ProductPoly(z4, atoms)
+            degrees = product.degrees
+            vanishes = all(
+                product.evaluate([algebra.basis_element(k)
+                                  for k in keys]).is_zero()
+                for keys in _assignments(algebra, degrees))
+            assert product.is_identity_on(algebra) == vanishes
+            verdicts.add(vanishes)
+    assert verdicts == {True, False}
