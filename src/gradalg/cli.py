@@ -87,20 +87,27 @@ def _doc_from_json(raw, root: str) -> InstanceDoc:
     for k, job in enumerate(jobs):
         if not isinstance(job, dict):
             raise ValidationError(f"{root}.jobs[{k}]", "job must be an object")
-        if not isinstance(job.get("args", {}), dict):
-            raise ValidationError(f"{root}.jobs[{k}].args",
-                                  "args must be an object")
+        args, where = job.get("args", {}), f"{root}.jobs[{k}].args"
+        if not isinstance(args, dict):
+            raise ValidationError(where, "args must be an object")
         cmd = job.get("command")
         if cmd not in ("decide", "construct", "identity-inclusion",
                        "envelope", "semisimple-embed"):
             raise ValidationError(f"{root}.jobs[{k}].command",
                                   f"unknown: {cmd!r}")
+        max_len = args.get("max_len", 3)
+        if type(max_len) is not int or max_len < 1:
+            raise ValidationError(f"{where}.max_len",
+                                  "max_len must be an integer >= 1")
+        if not isinstance(args.get("cocycle", ""), str):
+            raise ValidationError(f"{where}.cocycle",
+                                  "cocycle must be a string")
         for key in ("a", "b"):
-            name = job.get("args", {}).get(key)
+            name = args.get(key)
             if name is not None:
                 for part in str(name).split(","):
                     if part not in presentations:
-                        raise ValidationError(f"{root}.jobs[{k}].args.{key}",
+                        raise ValidationError(f"{where}.{key}",
                                               f"unknown presentation {part!r}")
     return InstanceDoc(version, group, presentations, cocycles, jobs, raw)
 

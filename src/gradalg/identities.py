@@ -14,6 +14,10 @@ output key, one column per word), `is_identity`, the atom value sets of
 `evaluate`, the element-level product, stays as the independent route that
 witnesses and tests are checked with.
 
+`identity_space` stops its sweep once the evaluation rows reach full column
+rank, which is exact: more rows only enlarge the row space, so the kernel
+stays {0}.  Identity spaces are not memoised; no caller asks twice for one.
+
 Two shortcuts narrow the assignments visited for an antisymmetric
 polynomial u * (signed sum over all words); every assignment left out has
 the value 0 or +-(the value of one that is visited):
@@ -37,13 +41,14 @@ from __future__ import annotations
 import os
 from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import linalg
 from .cocycles import smallest_irrep
 from .errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
                      LengthMismatch, NonAbelianUnsupported,
-                     NotFoundWithinBudget, VerificationFailed)
+                     NotFoundWithinBudget, ValidationError,
+                     VerificationFailed)
 from .galg import AlgebraElement, GradedPresentation, sub_presentation
 from .groups import FiniteGroup, GTuple
 from .scalars import CyclotomicScalar
@@ -56,7 +61,15 @@ DEFAULT_BUDGET = 10_000_000
 def get_budget(override: int | None = None) -> int:
     if override is not None:
         return override
-    return int(os.environ.get("GRADALG_BUDGET", DEFAULT_BUDGET))
+    raw = os.environ.get("GRADALG_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValidationError("GRADALG_BUDGET",
+                              f"must be a positive integer, got {raw!r}")
+    return budget
 
 
 def perm_sign(word) -> int:
@@ -87,10 +100,6 @@ class MultilinearPoly:
         for v in word:
             acc = t[acc][self.degrees[v]]
         return acc
-
-    def target_degree(self) -> int | None:
-        targets = {self.word_target(w) for w in self.coeffs}
-        return targets.pop() if len(targets) == 1 else None
 
     def scale(self, c: CyclotomicScalar) -> MultilinearPoly:
         return MultilinearPoly(self.group, self.degrees,
@@ -249,11 +258,8 @@ def _poly_value(algebra, keys, trie, coeffs) -> dict:
 
 def _assignments(pools, budget: int):
     """All graded basis assignments, once their number fits the budget."""
-    count = 1
-    for p in pools:
-        count *= len(p)
-        if count > budget:
-            raise BudgetExceeded(f"assignment enumeration exceeds {budget}")
+    if prod(len(p) for p in pools) > budget:
+        raise BudgetExceeded(f"assignment enumeration exceeds {budget}")
     return iproduct(*pools)
 
 
@@ -393,28 +399,18 @@ class IdentitySpace:
 
 
 def identity_space(algebra, degrees, budget: int | None = None) -> IdentitySpace:
-    """Exact kernel of (coefficients -> evaluations over all basis tuples)."""
+    """Exact kernel of (coefficients -> evaluations over all basis tuples).
+
+    The budget caps the a-priori assignment count.  The sweep stops once the
+    rows reach full column rank: more rows only enlarge the row space, so
+    the kernel stays {0}.  With no assignments every vector is in the
+    kernel.  Spaces are not memoised; each call sweeps afresh.
+    """
     degrees = tuple(degrees)
-    cache = getattr(algebra, "_idspace_cache", None)
-    if cache is None:
-        cache = {}
-        algebra._idspace_cache = cache
-    if degrees in cache:
-        return cache[degrees]
     budget = get_budget(budget)
     n = len(degrees)
     words = list(permutations(range(n)))
     pools = [algebra.component(g) for g in degrees]
-    if any(not p for p in pools):
-        # no graded assignments: every polynomial vanishes
-        vectors = []
-        for i in range(len(words)):
-            vec = [CyclotomicScalar.zero()] * len(words)
-            vec[i] = ONE
-            vectors.append(vec)
-        space = IdentitySpace(algebra, degrees, words, vectors)
-        cache[degrees] = space
-        return space
     trie = _word_trie(words)
     ech = linalg.Echelon(len(words))
     zero = CyclotomicScalar.zero()
@@ -427,9 +423,9 @@ def identity_space(algebra, degrees, budget: int | None = None) -> IdentitySpace
                 per_out[k][widx] = s
         for row in per_out.values():
             ech.add_row(row)
-    space = IdentitySpace(algebra, degrees, words, ech.kernel_basis())
-    cache[degrees] = space
-    return space
+        if ech.rank == len(words):
+            break
+    return IdentitySpace(algebra, degrees, words, ech.kernel_basis())
 
 
 class InclusionReport:

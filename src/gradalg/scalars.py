@@ -155,12 +155,6 @@ class CyclotomicScalar:
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
-    def as_rational(self) -> Fraction | None:
-        """The value as a rational number, or None if irrational."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
     def rebase(self, conductor: int) -> CyclotomicScalar:
         """The same field element expressed at a larger conductor."""
         if conductor == self.conductor:

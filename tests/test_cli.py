@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gradalg.cli import main, parse_doc
 from gradalg.corpus import run_corpus
@@ -80,12 +82,29 @@ _TRIVIAL = {"H": {"elements": [0]},
             "s": {"entries": [0]}}
 
 
+def _klein_with_job(job):
+    """The klein_twisted fixture with its last job replaced."""
+    doc = json.loads((FIXTURES / "klein_twisted.json").read_text())
+    doc["jobs"][-1] = job
+    return doc
+
+
+_INCLUSION = {"command": "identity-inclusion", "args": {"a": "A", "b": "B2"}}
+
+
 @pytest.mark.parametrize("doc, argv, path", [
     ({"group": _GROUP, "presentations": [_TRIVIAL]}, ["decide"],
      "$.presentations"),
     ({"group": _GROUP, "presentations": {"A": _TRIVIAL}, "jobs": ["decide"]},
      ["run"], "$.jobs[0]"),
     ({"group": _GROUP, "presentations": {"A": _TRIVIAL}}, ["decide"], "--b"),
+    (_klein_with_job({**_INCLUSION, "args": {"a": "A", "max_len": "3"}}),
+     ["run"], "$.jobs[2].args.max_len"),
+    (_klein_with_job({**_INCLUSION, "args": {"a": "A", "max_len": None}}),
+     ["run"], "$.jobs[2].args.max_len"),
+    (_klein_with_job({"command": "envelope",
+                      "args": {"b": "A", "cocycle": ["x"]}}),
+     ["run"], "$.jobs[2].args.cocycle"),
 ])
 def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
                                                         argv, path):
@@ -95,6 +114,45 @@ def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: {path}: " in err
+
+
+# paths into the klein_twisted fixture: "*" stands for any presentation
+# name and "k" for any job index
+_FUZZ_PATHS = [
+    ("version",), ("group",), ("presentations", "*", "H"),
+    ("presentations", "*", "alpha"), ("presentations", "*", "s"),
+    ("cocycles",), ("jobs",), ("jobs", "k", "command"), ("jobs", "k", "args"),
+    ("jobs", "k", "args", "a"), ("jobs", "k", "args", "max_len"),
+    ("jobs", "k", "args", "cocycle"),
+]
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4)
+    | st.sampled_from(["A", "B2", "twist"]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_run_survives_fuzzed_documents(tmp_path, monkeypatch, data):
+    """One value of a fixture document replaced by a small JSON value: `run`
+    ends with an exit code, never an exception."""
+    monkeypatch.setenv("GRADALG_BUDGET", "50")
+    doc = json.loads((FIXTURES / "klein_twisted.json").read_text())
+    path = data.draw(st.sampled_from(_FUZZ_PATHS))
+    node = doc
+    for part in path[:-1]:
+        if part == "*":
+            part = data.draw(st.sampled_from(sorted(node)))
+        elif part == "k":
+            part = data.draw(st.integers(0, len(node) - 1))
+        node = node[part]
+    node[path[-1]] = data.draw(_SMALL_JSON)
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    assert main(["run", str(doc_path)]) in (0, 1, 2)
 
 
 _ONE = {"conductor": 1, "coeffs": [["1", "1"]]}

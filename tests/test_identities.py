@@ -5,9 +5,10 @@ from itertools import product as iproduct
 
 import pytest
 
+from gradalg import linalg
 from gradalg.cocycles import Cocycle
 from gradalg.errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
-                            NotFoundWithinBudget)
+                            NotFoundWithinBudget, ValidationError)
 from gradalg.galg import DirectSumAlgebra, GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
 from gradalg.identities import (MultilinearPoly, ProductPoly, evaluate,
@@ -88,7 +89,6 @@ def test_identity_space_commutative():
 def test_identity_space_excludes_st3():
     sp = identity_space(mat(2), (0, 0, 0))
     st3 = standard_poly(3, [0] * 3, Z1)
-    from gradalg import linalg
     ech = linalg.Echelon(len(sp.words))
     for vec in sp.vectors:
         ech.add_row(vec)
@@ -118,6 +118,8 @@ def test_empty_component_gives_full_space(z10):
     a = GradedPresentation.elementary(z10, GTuple(z10, [0, 1]))
     sp = identity_space(a, (5, 5))
     assert sp.dim == 2  # every coefficient vector is an identity
+    # no assignments at all, however large the nonempty pools
+    assert identity_space(a, (0, 0, 5), budget=1).dim == 6
 
 
 def test_budget_guard():
@@ -149,7 +151,6 @@ def test_direct_sum_identities_are_intersection(z10):
     a = GradedPresentation.elementary(z10, GTuple(z10, [0, 1]))
     b = GradedPresentation.elementary(z10, GTuple(z10, [0, 2]))
     ds = DirectSumAlgebra([a, b])
-    from gradalg import linalg
     for degrees in [(1, 9), (0, 0), (1, 9, 0)]:
         sp_sum = identity_space(ds, degrees)
         sp_a = identity_space(a, degrees)
@@ -223,7 +224,6 @@ def test_homomorphic_image_monotonicity(z10):
     for degrees in [(1, 9), (0, 0), (1, 5, 4)]:
         sp_b = identity_space(b, degrees)
         sp_a = identity_space(a, degrees)
-        from gradalg import linalg
         ech = linalg.Echelon(len(sp_a.words))
         for v in sp_a.vectors:
             ech.add_row(v)
@@ -238,6 +238,16 @@ def test_budget_env_override(monkeypatch):
     assert get_budget(77) == 77
     monkeypatch.delenv("GRADALG_BUDGET")
     assert get_budget() == 10_000_000
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "1.5", "0", "-3"])
+def test_budget_env_rejects_malformed(monkeypatch, raw):
+    from gradalg.identities import get_budget
+    monkeypatch.setenv("GRADALG_BUDGET", raw)
+    with pytest.raises(ValidationError) as err:
+        get_budget()
+    assert err.value.path == "GRADALG_BUDGET"
+    assert get_budget(77) == 77
 
 
 # -- oracles: the kernel and its shortcuts against element-level evaluate -----
@@ -269,11 +279,23 @@ def _value(poly, algebra, keys):
     return evaluate(poly, [algebra.basis_element(k) for k in keys])
 
 
+def _evaluation_rows(algebra, degrees, words):
+    """The full evaluation matrix built with evaluate: one row per graded
+    basis assignment and output key, one column per word."""
+    monomials = [MultilinearPoly(algebra.group, degrees, {w: C.one()})
+                 for w in words]
+    rows = []
+    for keys in _assignments(algebra, degrees):
+        values = [_value(m, algebra, keys) for m in monomials]
+        for out in {k for v in values for k in v.terms}:
+            rows.append([v.terms.get(out, C.zero()) for v in values])
+    return rows
+
+
 def test_identity_spaces_match_full_evaluation(klein, klein_classes, z4):
     """At lengths <= 3, every kernel vector vanishes on every graded basis
     assignment, and the kernel has the dimension of the null space of the
     evaluation matrix built with evaluate."""
-    from gradalg import linalg
     for algebra in _small_algebras(klein, klein_classes, z4):
         supp = sorted(algebra.support())
         for length in (1, 2, 3):
@@ -283,17 +305,47 @@ def test_identity_spaces_match_full_evaluation(klein, klein_classes, z4):
                 for poly in sp.polys():
                     assert all(_value(poly, algebra, keys).is_zero()
                                for keys in assignments)
-                monomials = [MultilinearPoly(algebra.group, degrees,
-                                             {w: C.one()})
-                             for w in sp.words]
-                rows = []
-                for keys in assignments:
-                    values = [_value(m, algebra, keys) for m in monomials]
-                    for out in {k for v in values for k in v.terms}:
-                        rows.append([v.terms.get(out, C.zero())
-                                     for v in values])
+                rows = _evaluation_rows(algebra, degrees, sp.words)
                 rank = linalg.rank(rows, len(sp.words))
                 assert sp.dim == len(sp.words) - rank
+
+
+def test_identity_space_early_exit_matches_full_sweep(monkeypatch, klein,
+                                                      klein_classes):
+    """The sweep that stops at full column rank returns, entry for entry,
+    the kernel of the full evaluation matrix; the exit fires exactly where
+    that kernel is {0}."""
+    _, nt = klein_classes
+    twisted_m2 = GradedPresentation(klein, klein.full_subgroup(), nt,
+                                    GTuple(klein, [0, 0]))
+    cases = [(mat(2), (0, 0, 0)), (mat(3), (0, 0, 0)),
+             (mat(1), (0, 0)), (mat(1), (0, 0, 0)),
+             (twisted_m2, (0, 0, 0)), (twisted_m2, (1, 2)),
+             (twisted_m2, (1, 2, 3))]
+    added = []
+    add_row = linalg.Echelon.add_row
+
+    def counted(ech, row):
+        added.append(row)
+        return add_row(ech, row)
+
+    exits = 0
+    for algebra, degrees in cases:
+        sp = identity_space(algebra, degrees)
+        rows = _evaluation_rows(algebra, degrees, sp.words)
+        full = linalg.kernel(rows, len(sp.words))
+        assert [[(c, c.conductor) for c in vec] for vec in sp.vectors] == \
+            [[(c, c.conductor) for c in vec] for vec in full]
+        added.clear()
+        with monkeypatch.context() as m:
+            m.setattr(linalg.Echelon, "add_row", counted)
+            identity_space(algebra, degrees)
+        if full:
+            assert len(added) == len(rows)
+        else:
+            assert len(added) < len(rows)
+            exits += 1
+    assert 0 < exits < len(cases)
 
 
 def test_is_identity_shortcuts_match_full_enumeration(klein, klein_classes,
