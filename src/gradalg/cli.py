@@ -60,7 +60,9 @@ def _doc_from_json(raw, root: str) -> InstanceDoc:
     if not isinstance(raw, dict):
         raise ValidationError(root, "document must be an object")
     version = raw.get("version", 1)
-    if version not in InstanceDoc.SUPPORTED_VERSIONS:
+    # type(...) is int: True == 1 and 1.0 == 1, but neither is a version
+    if (type(version) is not int
+            or version not in InstanceDoc.SUPPORTED_VERSIONS):
         raise ValidationError(f"{root}.version",
                               f"unsupported version {version}")
     try:

@@ -115,7 +115,7 @@ class Cocycle:
         group = self.subgroup.parent
         group.check_element(g)
         conj = {h: group.conjugate(g, h) for h in self.subgroup}
-        target = Subgroup(group, conj.values(), _validate=False)
+        target = group._interned(conj.values())
         vals = {(conj[a], conj[b]): self.values[(a, b)]
                 for a in self.subgroup for b in self.subgroup}
         return Cocycle.verify_and_normalize(target, vals)
@@ -187,7 +187,7 @@ class Bicharacter:
                     if vals[(a, t[b][c])] != vals[(a, b)] * vals[(a, c)]:
                         raise ArithmeticError("bicharacter is not multiplicative")
         rad = [g for g in sub if all(vals[(g, h)].is_one() for h in sub)]
-        radical = Subgroup(sub.parent, rad, _validate=False)
+        radical = sub.parent._interned(rad)
         return cls(sub, vals, radical)
 
     def value(self, a: int, b: int) -> CyclotomicScalar:
@@ -310,7 +310,7 @@ def smallest_irrep(gamma: Cocycle) -> IrrepData:
             continue
         if all(beta.values[(x, l)].is_one() for l in iso):
             iso = set(group.closure(iso | {x}).members)
-    isotropic = Subgroup(group, iso, _validate=False)
+    isotropic = group._interned(iso)
     mu = coboundary_solve(gamma.restrict(isotropic))
 
     transversal = isotropic.transversal(within=sub)

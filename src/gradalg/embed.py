@@ -26,6 +26,9 @@ ONE = CyclotomicScalar.one()
 class EmbedDecision:
     """Verdict plus the data that reproduces it."""
 
+    __slots__ = ("verdict", "case", "h_sub", "d", "g_prime", "transversal",
+                 "pattern", "shift")
+
     def __init__(self, verdict: bool, case: str, h_sub: Subgroup, d: int,
                  g_prime: Subgroup, transversal: GTuple, pattern: GTuple,
                  shift: int | None):

@@ -175,6 +175,23 @@ class GradedPresentation(_AlgebraBase):
         t = self.group.table
         return t[t[self.group.inverses[self.s[i]]][h]][self.s[j]]
 
+    def component(self, g: int) -> tuple:
+        """The basis keys of degree g, in basis_keys order, computed directly
+        rather than cached: deg(h, i, j) = g exactly when h = s_i g s_j^-1,
+        so each (i, j) contributes one key when that element lies in H."""
+        if not 0 <= g < self.group.order:
+            return ()
+        t, inv, members = self.group.table, self.group.inverses, self.H.members
+        keys = []
+        for i, si in enumerate(self.s):
+            row = t[t[si][g]]
+            for j, sj in enumerate(self.s):
+                h = row[inv[sj]]
+                if h in members:
+                    keys.append((h, i, j))
+        keys.sort()
+        return tuple(keys)
+
     def mul_basis(self, k1, k2) -> dict:
         g, i, j = k1
         h, k, l = k2

@@ -1,6 +1,9 @@
 """Finite groups as Cayley tables, with subgroup, coset and tuple services.
 
 Elements are dense indices 0..n-1; all products go through the table.
+Subgroups the group derives itself (closures, intersections, the full and
+trivial subgroups, the subgroup lattice) are interned: the group keeps one
+Subgroup object per member set and hands that object out every time.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ class FiniteGroup:
         self.order = len(self.table)
         self.name = name
         self.cyclic_factors = tuple(cyclic_factors) if cyclic_factors else None
+        self._subgroups: dict[frozenset, Subgroup] = {}
         if _validate:
             self._validate()
         self.identity = self._find_identity()
@@ -188,6 +192,16 @@ class FiniteGroup:
     def subgroup(self, elements) -> Subgroup:
         return Subgroup(self, elements)
 
+    def _interned(self, members) -> Subgroup:
+        """This group's one Subgroup object on a member set known to be a
+        subgroup (no check)."""
+        members = frozenset(members)
+        sub = self._subgroups.get(members)
+        if sub is None:
+            sub = Subgroup(self, members, _validate=False)
+            self._subgroups[members] = sub
+        return sub
+
     def closure(self, generators) -> Subgroup:
         members = {self.identity}
         frontier = list(generators)
@@ -204,13 +218,13 @@ class FiniteGroup:
                     if p not in members:
                         members.add(p)
                         changed = True
-        return Subgroup(self, members, _validate=False)
+        return self._interned(members)
 
     def full_subgroup(self) -> Subgroup:
-        return Subgroup(self, range(self.order), _validate=False)
+        return self._interned(range(self.order))
 
     def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, [self.identity], _validate=False)
+        return self._interned([self.identity])
 
     def all_subgroups(self, max_generators: int = 4) -> list[Subgroup]:
         """All subgroups, by closing generator sets (fine at table scale)."""
@@ -226,7 +240,7 @@ class FiniteGroup:
                 if new not in found:
                     found.add(new)
                     frontier.append(new)
-        subs = [Subgroup(self, m, _validate=False) for m in found]
+        subs = [self._interned(m) for m in found]
         subs.sort(key=lambda s: (s.order, s.sorted_members))
         return subs
 
@@ -295,8 +309,7 @@ class Subgroup:
 
     def intersection(self, other: Subgroup) -> Subgroup:
         self.same_parent(other)
-        return Subgroup(self.parent, self.members & other.members,
-                        _validate=False)
+        return self.parent._interned(self.members & other.members)
 
     def product_subgroup(self, other: Subgroup) -> Subgroup:
         """Subgroup generated by the set product (equals it when closed)."""

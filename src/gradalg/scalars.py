@@ -4,6 +4,18 @@ A scalar is a coordinate vector over the power basis 1, z, ..., z^(phi(m)-1)
 of Q(zeta_m), with exact rational entries, always reduced modulo the m-th
 cyclotomic polynomial.  Scalars with different conductors compare and combine
 by rebasing both to the lcm conductor.
+
+Conductor 1 is the field Q(zeta_1) = Q itself: phi(1) = 1 and the power basis
+is the single element 1, so a scalar there is one rational.  When both
+operands have conductor 1, products, sums, negatives and inverses are the
+rational operations on that one Fraction, with no convolution or reduction
+(modulo Phi_1 = x - 1 a constant is already reduced).  The only roots of unity
+in Q are 1 and -1, so at conductor 1 as_root_of_unity answers (2, 0), (2, 1)
+or None, exactly what the scan over the powers of zeta_2 gives.
+
+Results computed here are built by _exact from a tuple that is already a
+reduced vector of Fractions of length phi(conductor); only the public
+constructor coerces its entries and checks the length.
 """
 
 from __future__ import annotations
@@ -125,9 +137,8 @@ class CyclotomicScalar:
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> CyclotomicScalar:
-        coeffs = [_ZERO] * euler_phi(conductor)
-        coeffs[0] = Fraction(value)
-        return cls(conductor, coeffs)
+        return _exact(conductor, (Fraction(value),)
+                      + (_ZERO,) * (euler_phi(conductor) - 1))
 
     @classmethod
     def zero(cls, conductor: int = 1) -> CyclotomicScalar:
@@ -145,7 +156,7 @@ class CyclotomicScalar:
             return cls.one(1)
         coeffs = [_ZERO] * m
         coeffs[k] = _ONE
-        return cls(m, list(_reduce(m, coeffs)))
+        return _exact(m, _reduce(m, coeffs))
 
     # -- structure ------------------------------------------------------
 
@@ -166,7 +177,7 @@ class CyclotomicScalar:
         coeffs = [_ZERO] * (step * (len(self.coeffs) - 1) + 1)
         for k, c in enumerate(self.coeffs):
             coeffs[k * step] = c
-        return CyclotomicScalar(conductor, list(_reduce(conductor, coeffs)))
+        return _exact(conductor, _reduce(conductor, coeffs))
 
     def _common(self, other: CyclotomicScalar):
         if self.conductor == other.conductor:
@@ -177,17 +188,20 @@ class CyclotomicScalar:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not CyclotomicScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.conductor == 1 and other.conductor == 1:
+            return _exact(1, (self.coeffs[0] + other.coeffs[0],))
         a, b = self._common(other)
-        return CyclotomicScalar(a.conductor,
-                                [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return _exact(a.conductor,
+                      tuple([x + y for x, y in zip(a.coeffs, b.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicScalar(self.conductor, [-c for c in self.coeffs])
+        return _exact(self.conductor, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -202,9 +216,12 @@ class CyclotomicScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not CyclotomicScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.conductor == 1 and other.conductor == 1:
+            return _exact(1, (self.coeffs[0] * other.coeffs[0],))
         a, b = self._common(other)
         n = len(a.coeffs)
         conv = [_ZERO] * (2 * n - 1)
@@ -214,7 +231,7 @@ class CyclotomicScalar:
             for j, y in enumerate(b.coeffs):
                 if y:
                     conv[i + j] += x * y
-        return CyclotomicScalar(a.conductor, list(_reduce(a.conductor, conv)))
+        return _exact(a.conductor, _reduce(a.conductor, conv))
 
     __rmul__ = __mul__
 
@@ -222,6 +239,8 @@ class CyclotomicScalar:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         m = self.conductor
+        if m == 1:
+            return _exact(1, (1 / self.coeffs[0],))
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(m)]
         # extended Euclid in Q[x]: s*a + t*Phi = gcd, gcd constant
         r0, r1 = phi_poly, list(self.coeffs)
@@ -235,7 +254,7 @@ class CyclotomicScalar:
         c = r0[0]
         inv = [x / c for x in s0]
         inv += [_ZERO] * (euler_phi(m) - len(inv))
-        return CyclotomicScalar(m, list(_reduce(m, inv)))
+        return _exact(m, _reduce(m, inv))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -263,9 +282,10 @@ class CyclotomicScalar:
         return result
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not CyclotomicScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.conductor == other.conductor:
             return self.coeffs == other.coeffs
         a, b = self._common(other)
@@ -282,9 +302,13 @@ class CyclotomicScalar:
         """Return (M, k) with self == zeta_M^k, or None.
 
         Every root of unity in Q(zeta_m) is a power of zeta_M for
-        M = lcm(2, m), so scanning those powers is a complete test.
+        M = lcm(2, m), so scanning those powers is a complete test.  At
+        m = 1 the powers of zeta_2 are 1 and -1, compared directly.
         """
         m = self.conductor
+        if m == 1:
+            c = self.coeffs[0]
+            return (2, 0) if c == 1 else (2, 1) if c == -1 else None
         M = m if m % 2 == 0 else 2 * m
         a = self.rebase(M)
         for k, coeffs in enumerate(_unity_power_coeffs(M)):
@@ -321,6 +345,21 @@ class CyclotomicScalar:
     def from_json(cls, data) -> CyclotomicScalar:
         coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
         return cls(int(data["conductor"]), coeffs)
+
+
+_new_scalar = object.__new__
+_set_conductor = CyclotomicScalar.conductor.__set__
+_set_coeffs = CyclotomicScalar.coeffs.__set__
+
+
+def _exact(conductor: int, coeffs: tuple) -> CyclotomicScalar:
+    """A scalar from a reduced tuple of Fractions of length phi(conductor),
+    taken as it is: the coercion and length check of __init__ are for
+    outside input."""
+    x = _new_scalar(CyclotomicScalar)
+    _set_conductor(x, conductor)
+    _set_coeffs(x, coeffs)
+    return x
 
 
 @lru_cache(maxsize=None)

@@ -105,6 +105,8 @@ _INCLUSION = {"command": "identity-inclusion", "args": {"a": "A", "b": "B2"}}
     (_klein_with_job({"command": "envelope",
                       "args": {"b": "A", "cocycle": ["x"]}}),
      ["run"], "$.jobs[2].args.cocycle"),
+    ({**_klein_with_job(_INCLUSION), "version": True}, ["run"], "$.version"),
+    ({**_klein_with_job(_INCLUSION), "version": 1.0}, ["run"], "$.version"),
 ])
 def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
                                                         argv, path):

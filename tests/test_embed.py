@@ -317,3 +317,16 @@ def test_decision_trace_reproduces_verdict(klein, klein_classes):
                                b.H)
         else:
             assert exists_shift(b.s, decision.pattern, b.H) is None
+
+
+def test_decisions_share_their_subgroups():
+    """A decision holds the group's interned subgroups, not fresh copies, so
+    what a kept decision costs does not grow with the subgroups it names."""
+    doc = parse_doc((FIXTURES / "klein_twisted.json").read_text())
+    a, b = doc.presentations["A"], doc.presentations["B2"]
+    first, second = decide(a, b), decide(a, b)
+    assert first.h_sub is second.h_sub
+    assert first.g_prime is second.g_prime
+    assert first.h_sub is a.group.closure(first.h_sub.members)
+    assert not hasattr(first, "__dict__")
+    assert first.to_json() == second.to_json()

@@ -1,7 +1,10 @@
 """Presentations, elements, homomorphism certificates and transforms."""
 
+from pathlib import Path
+
 import pytest
 
+from gradalg.cli import parse_doc
 from gradalg.cocycles import Cocycle
 from gradalg.errors import MismatchedParent, NotSameCoset
 from gradalg.galg import (DirectSumAlgebra, GradedHom, GradedPresentation,
@@ -13,6 +16,8 @@ from gradalg.identities import identity_space
 from gradalg.scalars import CyclotomicScalar as C
 
 from test_cocycles import klein_alpha
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_idempotent_unit(z10):
@@ -190,3 +195,36 @@ def test_presentation_json_round_trip(klein, klein_classes):
                            GTuple(klein, [0, 3]))
     q = GradedPresentation.from_json(klein, p.to_json())
     assert p.same_data(q)
+
+
+def _components_by_filter(p):
+    return {g: tuple(k for k in p.basis_keys() if p.basis_degree(k) == g)
+            for g in p.group.elements()}
+
+
+def test_components_match_basis_filter(klein, klein_classes, z4):
+    """component(g) is computed from s_i g s_j^-1; it must list exactly the
+    basis keys of degree g, in basis_keys order."""
+    presentations = [GradedPresentation(klein, klein.full_subgroup(), alpha,
+                                        GTuple(klein, s))
+                     for alpha in klein_classes
+                     for s in ([0], [0, 3], [1, 2, 1], [3, 0, 0, 2])]
+    sub = klein.closure([2])
+    presentations.append(GradedPresentation(
+        klein, sub, klein_alpha(klein).restrict(sub), GTuple(klein, [1, 0, 3])))
+    for h in ([0], [0, 2], [0, 1, 2, 3]):
+        z4h = z4.closure(h)
+        presentations += [GradedPresentation(z4, z4h, Cocycle.trivial(z4h),
+                                             GTuple(z4, s))
+                          for s in ([0], [3, 1], [2, 0, 1, 1])]
+    doc = parse_doc((FIXTURES / "dihedral_regular.json").read_text())
+    presentations += list(doc.presentations.values())
+    d4 = doc.group
+    rot = d4.subgroup([0, 1, 2, 3])
+    presentations.append(GradedPresentation(d4, rot, Cocycle.trivial(rot),
+                                            GTuple(d4, [5, 0, 2, 7])))
+    for p in presentations:
+        expected = _components_by_filter(p)
+        for g, keys in expected.items():
+            assert p.component(g) == keys
+        assert sum(len(keys) for keys in expected.values()) == p.dim

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from gradalg.cocycles import Cocycle
 from gradalg.errors import (MismatchedParent, NotAssociative, NotLatinSquare,
                             NotSubgroup)
+from gradalg.galg import GradedPresentation
 from gradalg.groups import (FiniteGroup, GTuple, Subgroup, build_group,
                             dihedral_table, group_to_json)
 
@@ -145,3 +147,31 @@ def test_dihedral_table_is_group(d4):
     # the rotation subgroup is cyclic of order 4
     rot = d4.subgroup([0, 1, 2, 3])
     assert rot.is_abelian()
+
+
+def test_derived_subgroups_are_interned(klein, d4):
+    a, b = klein.subgroup([0, 1]), klein.subgroup([0, 2])
+    assert a.intersection(b) is b.intersection(a) is klein.trivial_subgroup()
+    assert klein.closure([1]) is klein.closure([0, 1])
+    assert klein.closure([1, 2]) is klein.full_subgroup()
+    assert a.product_subgroup(b) is klein.full_subgroup()
+    assert klein.trivial_subgroup() is klein.closure([])
+    for group in (klein, d4):
+        for sub in group.all_subgroups():
+            assert group.closure(sub.members) is sub
+            assert sub.intersection(group.full_subgroup()) is sub
+
+
+def test_public_subgroups_keep_value_semantics(klein):
+    """Subgroup(...) and the JSON readers build fresh objects; they compare
+    and hash by parent and members, interned or not."""
+    p = GradedPresentation(klein, klein.closure([1]), Cocycle.trivial(
+        klein.closure([1])), GTuple(klein, [0, 2]))
+    q = GradedPresentation.from_json(klein, p.to_json())
+    fresh = Subgroup(klein, [1, 0])
+    assert q.H is not p.H and fresh is not p.H
+    assert q.H == p.H == fresh and hash(q.H) == hash(p.H) == hash(fresh)
+    assert len({q.H, p.H, fresh, klein.closure([1])}) == 1
+    assert q.alpha.subgroup == p.H
+    assert fresh != klein.subgroup([0, 2])
+    assert fresh.intersection(q.H) is klein.closure([1])

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from gradalg.errors import ConductorNotMultiple, DivisionByZero, NotRootOfUnity
 from gradalg.scalars import CyclotomicScalar as C
-from gradalg.scalars import cyclotomic_polynomial, euler_phi
+from gradalg.scalars import (_poly_divmod, _poly_mul, _poly_sub, _reduce,
+                             _unity_power_coeffs, cyclotomic_polynomial,
+                             euler_phi)
 
 
 def test_euler_phi():
@@ -159,3 +161,115 @@ def test_serialization_round_trip():
     assert data["conductor"] == 12
     assert all(isinstance(p, str) for pair in data["coeffs"] for p in pair)
     assert C.from_json(data) == a
+
+
+# -- the conductor-1 fast path against the general route -----------------------
+
+def _general(m, a, b=None, op="mul"):
+    """The route every conductor takes: rebase to the lcm conductor m, then
+    add coefficient-wise, or convolve and reduce modulo Phi_m, or invert by
+    extended Euclid against Phi_m.  Returns (conductor, coeffs)."""
+    x = _reduce(m, _spread(a, m))
+    if op == "neg":
+        return m, tuple(-c for c in x)
+    if op == "inverse":
+        return m, _general_inverse(m, x)
+    y = _reduce(m, _spread(b, m))
+    if op == "add":
+        return m, tuple(p + q for p, q in zip(x, y))
+    if op == "div":
+        y = _general_inverse(m, y)
+    conv = [Fraction(0)] * (2 * len(x) - 1)
+    for i, p in enumerate(x):
+        for j, q in enumerate(y):
+            conv[i + j] += p * q
+    return m, _reduce(m, conv)
+
+
+def _spread(a, m):
+    """a's power-basis vector at conductor m, before reduction."""
+    step = m // a.conductor
+    out = [Fraction(0)] * (step * (len(a.coeffs) - 1) + 1)
+    for k, c in enumerate(a.coeffs):
+        out[k * step] = c
+    return out
+
+
+def _general_inverse(m, coeffs):
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(m)]
+    r1 = list(coeffs)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    inv = [x / r0[0] for x in s0]
+    inv += [Fraction(0)] * (euler_phi(m) - len(inv))
+    return _reduce(m, inv)
+
+
+_rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)))
+
+
+@st.composite
+def _scalar_at(draw, m):
+    return C(m, [draw(_rationals) for _ in range(euler_phi(m))])
+
+
+def _exact_form(x, m):
+    assert x.conductor == m
+    assert type(x.coeffs) is tuple and len(x.coeffs) == euler_phi(m)
+    assert all(type(c) is Fraction for c in x.coeffs)
+    return x.conductor, x.coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(1, 1), (1, 4), (4, 1), (1, 3), (3, 1), (1, 12),
+                        (12, 1)]).flatmap(
+           lambda mm: st.tuples(st.just(mm[0] * mm[1]), _scalar_at(mm[0]),
+                                _scalar_at(mm[1]))))
+def test_fast_path_matches_general_route(case):
+    m, a, b = case
+    assert _exact_form(a * b, m) == _general(m, a, b, "mul")
+    assert _exact_form(a + b, m) == _general(m, a, b, "add")
+    assert _exact_form(a - b, m) == _general(m, a, -b, "add")
+    assert _exact_form(-a, a.conductor) == _general(a.conductor, a, op="neg")
+    if not b.is_zero():
+        assert _exact_form(a / b, m) == _general(m, a, b, "div")
+        assert _exact_form(b.inverse(), b.conductor) == \
+            _general(b.conductor, b, op="inverse")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rationals)
+def test_conductor1_roots_match_scan(c):
+    x = C.from_rational(c)
+    scan = next(((2, k) for k, row in enumerate(_unity_power_coeffs(2))
+                 if row == x.rebase(2).coeffs), None)
+    assert x.as_root_of_unity() == scan
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(4, 4), (12, 12), (1, 12), (4, 12)]).flatmap(
+    lambda mm: st.tuples(_scalar_at(mm[0]), _scalar_at(mm[1]))))
+def test_products_match_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    a, b = pair
+    x = sympy.Symbol("x")
+    prod = a * b
+    m = prod.conductor
+    ring = sympy.QQ
+
+    def poly(s):
+        step = m // s.conductor
+        return sympy.Poly({(k * step,): c for k, c in enumerate(s.coeffs)},
+                          x, domain=ring)
+
+    phi = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain=ring)
+    expected = (poly(a) * poly(b)).rem(phi)
+    got = sympy.Poly({(k,): c for k, c in enumerate(prod.coeffs)}, x,
+                     domain=ring)
+    assert got == expected
