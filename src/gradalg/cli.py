@@ -133,6 +133,16 @@ def _doc_slice(doc: InstanceDoc, names) -> dict:
             "presentations": {n: doc.presentations[n].to_json() for n in names}}
 
 
+def _at_least(args, **minimums):
+    """Reject a numeric option below its minimum; None means unset."""
+    for attr, minimum in minimums.items():
+        value = getattr(args, attr)
+        if value is not None and value < minimum:
+            raise ValidationError("--" + attr.replace("_", "-"),
+                                  f"must be an integer >= {minimum}, "
+                                  f"got {value}")
+
+
 def _emit(report: dict, human: str, verdict_false: bool) -> int:
     json.dump(report, sys.stdout, sort_keys=True, separators=(",", ":"))
     sys.stdout.write("\n")
@@ -201,6 +211,9 @@ def _hom_from_report(report: dict):
         if not known:
             raise ValidationError(f"$.hom.images[{n}]",
                                   "basis key outside the algebra")
+        if key in images:
+            raise ValidationError(f"$.hom.images[{n}]",
+                                  f"second image for basis key {key}")
         images[key] = b.element(terms)
     missing = src_keys - images.keys()
     if missing:
@@ -229,6 +242,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_inclusion(args) -> int:
+    _at_least(args, max_len=1, budget=1)
     doc = _load_doc(args.doc)
     a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
     t0 = time.time()
@@ -279,6 +293,9 @@ def _cmd_semisimple(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    # the corpus cycles through the cyclic groups of order 2..order_bound
+    _at_least(args, order_bound=2, count=0, max_len=1, limit=0, budget=1,
+              workers=1)
     t0 = time.time()
     result = run_corpus(args.seed, args.order_bound, args.count,
                         args.max_len, get_budget(args.budget), args.limit,

@@ -197,10 +197,21 @@ class Bicharacter:
 def coboundary_solve(alpha: Cocycle, require_symmetric: bool = True) -> dict:
     """A splitting mu with alpha(a,b) = mu(a) mu(b) / mu(ab), on abelian domain.
 
-    Works multiplicatively through discrete exponents: all values lie in the
-    M-th roots of unity; the additive system mu(a)+mu(b)-mu(ab) = alpha(a,b)
-    is solved over Z/M' with M' = M*|L| (doubled once on failure), which is
-    always solvable for a symmetric cocycle on a finite abelian group.
+    Works multiplicatively through discrete exponents: all values of alpha
+    lie in the M-th roots of unity mu_M, and the additive system
+    mu(a) + mu(b) - mu(ab) = alpha(a,b), with mu(e) = 0, is solved once over
+    Z/M' with M' = M*|L|, L the domain.  For a symmetric cocycle that
+    system always has a solution:
+
+    - a splitting exists, because a symmetric 2-cocycle on a finite abelian
+      group L with values in C^x classifies an abelian extension of L by
+      C^x, and that extension splits since C^x is divisible (Ext(L, C^x) = 0);
+    - any splitting mu takes values in mu_M': taking the product of
+      alpha(a,b) = mu(a) mu(b) / mu(ab) over b in L, where b -> ab permutes
+      L, gives mu(a)^|L| = prod_b alpha(a,b), which lies in mu_M;
+    - mu(e) = alpha(e,e) = 1 for the normalized cocycles gradalg holds.
+
+    So the exponents of that splitting solve the system over Z/M'.
     """
     sub = alpha.subgroup
     if not sub.is_abelian():
@@ -226,33 +237,31 @@ def coboundary_solve(alpha: Cocycle, require_symmetric: bool = True) -> dict:
 
     e = sub.parent.identity
     t = sub.parent.table
-    for attempt in range(2):
-        Mp = M * len(members) * (2 ** attempt)
-        rows, rhs = [], []
-        for a in members:
-            for b in members:
-                row = [0] * len(members)
-                row[index[a]] += 1
-                row[index[b]] += 1
-                row[index[t[a][b]]] -= 1
-                base, k = logs[(a, b)]
-                rows.append(row)
-                rhs.append(k * (Mp // base))
-        # pin mu(e) = 0
-        pin = [0] * len(members)
-        pin[index[e]] = 1
-        rows.append(pin)
-        rhs.append(0)
-        sol = linalg.solve_mod(rows, rhs, Mp)
-        if sol is None:
-            continue
-        mu = {g: CyclotomicScalar.zeta(Mp, sol[index[g]]) for g in members}
-        for a in members:
-            for b in members:
-                if alpha.values[(a, b)] * mu[t[a][b]] != mu[a] * mu[b]:
-                    raise NoSolution("splitting failed substitution check")
-        return mu
-    raise NoSolution("exponent system inconsistent at both moduli")
+    Mp = M * len(members)
+    rows, rhs = [], []
+    for a in members:
+        for b in members:
+            row = [0] * len(members)
+            row[index[a]] += 1
+            row[index[b]] += 1
+            row[index[t[a][b]]] -= 1
+            base, k = logs[(a, b)]
+            rows.append(row)
+            rhs.append(k * (Mp // base))
+    # pin mu(e) = 0
+    pin = [0] * len(members)
+    pin[index[e]] = 1
+    rows.append(pin)
+    rhs.append(0)
+    sol = linalg.solve_mod(rows, rhs, Mp)
+    if sol is None:
+        raise NoSolution("exponent system inconsistent")
+    mu = {g: CyclotomicScalar.zeta(Mp, sol[index[g]]) for g in members}
+    for a in members:
+        for b in members:
+            if alpha.values[(a, b)] * mu[t[a][b]] != mu[a] * mu[b]:
+                raise NoSolution("splitting failed substitution check")
+    return mu
 
 
 class IrrepData:

@@ -337,8 +337,8 @@ def construct(a: GradedPresentation, b: GradedPresentation,
 
     The intermediate maps (twist isomorphisms, representative replacements,
     inclusions) are plain builders; the returned map is certified here, once,
-    by a full verify_hom sweep, and the HomCertificate is stored on it as
-    `hom.certificate`.  Raises VerificationFailed if the sweep fails.
+    by verify_hom, and the HomCertificate is stored on it as
+    `hom.certificate`.  Raises VerificationFailed if the certificate fails.
     """
     if not decision.verdict:
         raise DecisionFalse("construction requires a true decision")

@@ -3,8 +3,9 @@
 The central object is a presentation of a graded-simple algebra: a twisted
 group algebra tensored with a matrix algebra carrying an elementary grading.
 Raw structure-constant algebras and direct sums implement the same small
-protocol (dim, basis_keys, basis_degree, mul_basis, component) so that
-envelopes, identity sweeps and homomorphism checks work uniformly.
+protocol (dim, basis_keys, basis_degree, mul_basis, component,
+generating_keys) so that envelopes, identity sweeps and homomorphism checks
+work uniformly.
 """
 
 from __future__ import annotations
@@ -118,6 +119,11 @@ class _AlgebraBase:
     def support(self) -> set:
         return {self.basis_degree(k) for k in self.basis_keys()}
 
+    def generating_keys(self) -> list:
+        """Basis keys such that every basis key is a nonzero multiple of a
+        product of them (verify_hom relies on this); by default all keys."""
+        return list(self.basis_keys())
+
     def one_terms(self) -> dict | None:
         return None
 
@@ -198,6 +204,29 @@ class GradedPresentation(_AlgebraBase):
         if j != k:
             return {}
         return {(self.group.table[g][h], i, l): self.alpha.values[(g, h)]}
+
+    def generating_keys(self) -> list:
+        """(e,0,0), (h,0,0) for h in a generating set of H, and the matrix
+        units (e,i,i+1), (e,i+1,i).
+
+        Every product below carries a cocycle value as its coefficient,
+        which is a root of unity and so nonzero.  Each h in H is a product
+        of the chosen generators (H is finite), so (h,0,0) is a multiple of
+        a product of keys (g,0,0); (e,i,0) and (e,0,j) are multiples of
+        products of neighbouring units, and (h,i,j) is a multiple of
+        (e,i,0)(h,0,0)(e,0,j).  (e,0,0) covers e itself and the case r = 1.
+        """
+        e = self.group.identity
+        keys, gens = [(e, 0, 0)], []
+        reached = {e}
+        for h in self.H.sorted_members:
+            if h not in reached:
+                gens.append(h)
+                keys.append((h, 0, 0))
+                reached = self.group.closure(gens).members
+        for i in range(self.r - 1):
+            keys += [(e, i, i + 1), (e, i + 1, i)]
+        return keys
 
     def one_terms(self) -> dict:
         e = self.group.identity
@@ -298,6 +327,12 @@ class DirectSumAlgebra(_AlgebraBase):
         return {(c1, k): v
                 for k, v in self.components[c1].mul_basis(a, b).items()}
 
+    def generating_keys(self) -> list:
+        """The union of the components' generating keys: a product of keys
+        of one component stays inside that component."""
+        return [(ci, k) for ci, comp in enumerate(self.components)
+                for k in comp.generating_keys()]
+
     def one_terms(self) -> dict | None:
         terms = {}
         for ci, comp in enumerate(self.components):
@@ -322,7 +357,10 @@ def to_structure_algebra(algebra) -> StructureAlgebra:
 
 
 class HomCertificate:
-    """Outcome of a full basis sweep over a graded linear map."""
+    """Outcome of verify_hom on a linear map: gradedness of every image,
+    multiplicativity (decided from generators times basis, with every
+    failing pair listed when it fails), injectivity by exact rank, and
+    whether the map sends one to one when both algebras have a unit."""
 
     def __init__(self, graded, multiplicative, injective, unital, failures):
         self.graded = graded
@@ -349,8 +387,9 @@ class HomCertificate:
 class GradedHom:
     """A linear map defined by images of the source basis.
 
-    `certificate` is the HomCertificate of the map's full sweep when the
-    function that returned the map made one (embed.construct), else None.
+    `certificate` is the HomCertificate of the map's verify_hom run when
+    the function that returned the map made one (embed.construct), else
+    None.
     """
 
     def __init__(self, source, target, images: dict):
@@ -378,26 +417,25 @@ class GradedHom:
         return GradedHom(inner.source, self.target, images)
 
     def inverse(self) -> GradedHom:
-        """Inverse of a bijective map, by exact matrix inversion."""
-        src_keys = list(self.source.basis_keys())
-        tgt_keys = list(self.target.basis_keys())
-        if len(src_keys) != len(tgt_keys):
-            raise VerificationFailed("inverse requires equal dimensions")
-        tgt_index = {k: i for i, k in enumerate(tgt_keys)}
-        mat = [[CyclotomicScalar.zero()] * len(src_keys)
-               for _ in range(len(tgt_keys))]
-        for col, k in enumerate(src_keys):
-            for kk, v in self.images[k].terms.items():
-                mat[tgt_index[kk]][col] = v
-        inv = linalg.invert_matrix(mat)
+        """Inverse of a bijective monomial map, term by term.
+
+        A monomial map sends each source key k to c_k times one target key
+        t_k, with c_k nonzero; it is bijective when k -> t_k is a bijection
+        of bases, and its inverse sends t_k to c_k^-1 times k.  Every map
+        inverted in gradalg is of this kind (relabellings, twist
+        isomorphisms, representative replacements and their composites);
+        any other map raises VerificationFailed.
+        """
         images = {}
-        for col, tk in enumerate(tgt_keys):
-            terms = {}
-            for row, sk in enumerate(src_keys):
-                c = inv[row][col]
-                if not c.is_zero():
-                    terms[sk] = c
-            images[tk] = AlgebraElement(self.source, terms)
+        for k, img in self.images.items():
+            if len(img.terms) != 1:
+                raise VerificationFailed(f"image of {k} is not a single term")
+            (tk, c), = img.terms.items()
+            if tk in images:
+                raise VerificationFailed(f"two source keys map onto {tk}")
+            images[tk] = AlgebraElement(self.source, {k: c.inverse()})
+        if len(images) != self.target.dim:
+            raise VerificationFailed("map does not reach every target key")
         return GradedHom(self.target, self.source, images)
 
     def rebind(self, source=None, target=None) -> GradedHom:
@@ -435,12 +473,49 @@ def _same_algebra(a, b) -> bool:
     return False
 
 
+def _product_failures(hom: GradedHom, left, right) -> list:
+    """The pairs (x, y), x in `left` and y in `right`, at which
+    hom(x y) != hom(x) hom(y)."""
+    src, images = hom.source, hom.images
+    failures = []
+    for k1 in left:
+        img1 = images[k1]
+        for k2 in right:
+            lhs = hom.target.zero()
+            for k, v in src.mul_basis(k1, k2).items():
+                lhs = lhs + images[k].scale(v)
+            if lhs != img1 * images[k2]:
+                failures.append(("multiplicative", k1, k2))
+    return failures
+
+
 def verify_hom(hom: GradedHom) -> HomCertificate:
-    """Certify gradedness, multiplicativity and injectivity by full sweeps."""
+    """Certify gradedness, multiplicativity and injectivity exactly.
+
+    Gradedness is checked image by image.  Multiplicativity is checked on
+    the pairs (g, y) with g in src.generating_keys() and y any basis key.
+    This decides it for all pairs.  Write a basis key x as c g_1 ... g_m
+    with c != 0 and each g_i a generating key, as the protocol promises.
+    By linearity in y, phi(g z) = phi(g) phi(z) holds for every generating
+    key g and every element z.  By associativity of the source, x y =
+    c g_1 (g_2 (... (g_m y))), so, peeling one generator at a time,
+    phi(x y) = c phi(g_1) phi(g_2) ... phi(g_m) phi(y).  The same peeling
+    with y left out gives phi(x) = c phi(g_1) ... phi(g_m), so by
+    associativity of the target phi(x y) = phi(x) phi(y).  If any
+    generator pair fails, every pair is swept, so `failures` lists every
+    failing pair of basis keys, in basis order.
+
+    Injectivity is the rank of the image rows.  When the map is graded, the
+    images of degree-g keys lie in tgt.component(g), so the rows form
+    blocks on disjoint columns and the rank is the sum of the ranks of the
+    blocks, each taken over its own component; otherwise the whole matrix
+    is ranked.
+    """
     failures = []
     src, tgt = hom.source, hom.target
     graded = True
-    for k in src.basis_keys():
+    keys = list(src.basis_keys())
+    for k in keys:
         img = hom.images[k]
         if img.is_zero():
             continue
@@ -448,21 +523,25 @@ def verify_hom(hom: GradedHom) -> HomCertificate:
         if deg is None or deg != src.basis_degree(k):
             graded = False
             failures.append(("graded", k))
-    multiplicative = True
-    keys = list(src.basis_keys())
-    for k1 in keys:
-        img1 = hom.images[k1]
-        for k2 in keys:
-            lhs = tgt.zero()
-            for k, v in src.mul_basis(k1, k2).items():
-                lhs = lhs + hom.images[k].scale(v)
-            rhs = img1 * hom.images[k2]
-            if lhs != rhs:
-                multiplicative = False
-                failures.append(("multiplicative", k1, k2))
-    tgt_index = {k: i for i, k in enumerate(tgt.basis_keys())}
-    rows = [hom.images[k].coordinates(tgt_index) for k in keys]
-    injective = linalg.rank(rows, len(tgt_index)) == len(keys)
+    gens = list(src.generating_keys())
+    products = _product_failures(hom, gens, keys)
+    if products and gens != keys:
+        products = _product_failures(hom, keys, keys)
+    multiplicative = not products
+    failures += products
+    if graded:
+        by_degree = {}
+        for k in keys:
+            by_degree.setdefault(src.basis_degree(k), []).append(k)
+        blocks = [(tgt.component(g), ks) for g, ks in by_degree.items()]
+    else:
+        blocks = [(tgt.basis_keys(), keys)]
+    rank = 0
+    for columns, rows in blocks:
+        index = {k: i for i, k in enumerate(columns)}
+        rank += linalg.rank([hom.images[k].coordinates(index) for k in rows],
+                            len(index))
+    injective = rank == len(keys)
     if not injective:
         failures.append(("injective",))
     unital = None

@@ -165,12 +165,20 @@ _STRAY_IMAGE = {
                         "terms": [{"key": [1, 0, 0], "coeff": _ONE}]}]}}
 
 
+_IDENTITY_IMAGE = {"key": [0, 0, 0],
+                   "terms": [{"key": [0, 0, 0], "coeff": _ONE}]}
+_DUPLICATE_IMAGE = {**_STRAY_IMAGE,
+                    "hom": {"images": [_IDENTITY_IMAGE, _IDENTITY_IMAGE]}}
+
+
 @pytest.mark.parametrize("text, path", [
     ("{not json", "$"),
     ("[]", "$"),
     (json.dumps({"a": "A", "b": "A", "hom": {"images": []}}), "$.doc"),
     (json.dumps(_STRAY_IMAGE), "$.hom.images[0]"),
-], ids=["invalid-json", "top-level-list", "no-doc", "stray-image-key"])
+    (json.dumps(_DUPLICATE_IMAGE), "$.hom.images[1]"),
+], ids=["invalid-json", "top-level-list", "no-doc", "stray-image-key",
+        "duplicate-image-key"])
 def test_verify_rejects_malformed_report_without_traceback(tmp_path, capsys,
                                                            text, path):
     report_path = tmp_path / "report.json"
@@ -179,6 +187,35 @@ def test_verify_rejects_malformed_report_without_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: {path}: " in err
+
+
+_KLEIN = str(FIXTURES / "klein_twisted.json")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["corpus-run", "--order-bound", "1"], "--order-bound"),
+    (["corpus-run", "--order-bound", "0"], "--order-bound"),
+    (["corpus-run", "--max-len", "0"], "--max-len"),
+    (["corpus-run", "--max-len", "-1"], "--max-len"),
+    (["corpus-run", "--limit", "-1"], "--limit"),
+    (["corpus-run", "--count", "-1"], "--count"),
+    (["corpus-run", "--budget", "0"], "--budget"),
+    (["corpus-run", "--workers", "0"], "--workers"),
+    (["identity-inclusion", _KLEIN, "--b", "B2", "--max-len", "0"],
+     "--max-len"),
+    (["identity-inclusion", _KLEIN, "--b", "B2", "--budget", "0"],
+     "--budget"),
+])
+def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
+    """Each value is rejected before any work starts (and so before any
+    worker process could)."""
+    if argv[0] == "corpus-run" and "--count" not in argv:
+        argv = [*argv, "--count", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: {flag}: must be an integer >= " in captured.err
 
 
 def test_decide_exit_codes():

@@ -1,6 +1,7 @@
 """Cocycle validation, bicharacters, splittings and minimal representations."""
 
 import random
+from math import gcd, lcm
 
 import pytest
 
@@ -112,6 +113,42 @@ def test_coboundary_solve_on_isotropic_restriction(klein):
     for a in sub:
         for b in sub:
             assert alpha.value(a, b) * mu[t[a][b]] == mu[a] * mu[b]
+
+
+def _root_order(value):
+    n, k = value.as_root_of_unity()
+    return n // gcd(n, k)
+
+
+def test_coboundary_solve_single_modulus(klein, z4):
+    """Every class on Z2xZ2, Z4 and Z6, restricted to each isotropic
+    subgroup L and rescaled by random coboundaries, splits at the one
+    modulus M*|L|: d(mu) equals the cocycle and mu takes values in the
+    (M*|L|)-th roots of unity, M the exponent of the cocycle's values."""
+    rng = random.Random(11)
+    solved = 0
+    for group in (klein, z4, FiniteGroup.cyclic(6)):
+        for cls in enumerate_cocycle_classes(group.full_subgroup()):
+            beta = cls.bicharacter()
+            for sub in group.all_subgroups():
+                if not all(beta.values[(x, y)].is_one()
+                           for x in sub for y in sub):
+                    continue
+                for _ in range(3):
+                    alpha = cls.restrict(sub).twist_by_coboundary(
+                        random_coboundary(sub, rng))
+                    mu = coboundary_solve(alpha)
+                    modulus = sub.order * lcm(*map(_root_order,
+                                                   alpha.values.values()))
+                    t = group.table
+                    assert all(alpha.value(a, b) * mu[t[a][b]] == mu[a] * mu[b]
+                               for a in sub for b in sub)
+                    assert all(modulus % _root_order(v) == 0
+                               for v in mu.values())
+                    solved += 1
+    # Z2xZ2: 5 subgroups under the trivial class, 4 under the other; Z4: 3;
+    # Z6: 4
+    assert solved == 3 * (5 + 4 + 3 + 4)
 
 
 def test_smallest_irrep_trivial(z4):

@@ -4,16 +4,22 @@ from pathlib import Path
 
 import pytest
 
+from gradalg import linalg
 from gradalg.cli import parse_doc
 from gradalg.cocycles import Cocycle
-from gradalg.errors import MismatchedParent, NotSameCoset
+from gradalg.corpus import generate_corpus
+from gradalg.embed import construct, decide
+from gradalg.envelope import alpha_envelope
+from gradalg.errors import MismatchedParent, NotSameCoset, VerificationFailed
 from gradalg.galg import (DirectSumAlgebra, GradedHom, GradedPresentation,
-                          block_decompose, conjugate_presentation,
-                          permute_tuple, replace_representative,
-                          sub_presentation, to_structure_algebra, verify_hom)
+                          HomCertificate, block_decompose,
+                          conjugate_presentation, permute_tuple,
+                          replace_representative, sub_presentation,
+                          to_structure_algebra, verify_hom)
 from gradalg.groups import FiniteGroup, GTuple, Subgroup
 from gradalg.identities import identity_space
 from gradalg.scalars import CyclotomicScalar as C
+from gradalg.semisimple import SemisimplePresentation, embed_into_power
 
 from test_cocycles import klein_alpha
 
@@ -228,3 +234,178 @@ def test_components_match_basis_filter(klein, klein_classes, z4):
         for g, keys in expected.items():
             assert p.component(g) == keys
         assert sum(len(keys) for keys in expected.values()) == p.dim
+
+
+# -- verify_hom against the all-pairs sweep -------------------------------------
+
+
+def _all_pairs_certificate(hom):
+    """The certificate by the unshortened route: every pair of basis keys,
+    with phi(xy) computed by applying the map to the product element, and
+    one rank of the whole image matrix."""
+    src, tgt = hom.source, hom.target
+    keys = list(src.basis_keys())
+    failures = [("graded", k) for k in keys
+                if not hom.images[k].is_zero()
+                and hom.images[k].degree() != src.basis_degree(k)]
+    graded = not failures
+    products = [("multiplicative", k1, k2) for k1 in keys for k2 in keys
+                if hom.apply(src.basis_element(k1) * src.basis_element(k2))
+                != hom.images[k1] * hom.images[k2]]
+    index = {k: i for i, k in enumerate(tgt.basis_keys())}
+    rows = [hom.images[k].coordinates(index) for k in keys]
+    injective = linalg.rank(rows, len(index)) == len(keys)
+    failures += products + ([] if injective else [("injective",)])
+    unital = None
+    if src.one() is not None and tgt.one() is not None:
+        unital = hom.apply(src.one()) == tgt.one()
+    return HomCertificate(graded, not products, injective, unital, failures)
+
+
+def _fields(cert):
+    return (cert.graded, cert.multiplicative, cert.injective, cert.unital,
+            cert.failures)
+
+
+def _perturbed(hom):
+    """The map with one image scaled by zeta_4, zeroed, swapped with another
+    or added to another, for a few choices of the key."""
+    keys = list(hom.source.basis_keys())
+    picks = sorted({0, len(keys) // 2, len(keys) - 1})
+    zeta4 = C.zeta(4, 1)
+    for p in picks:
+        k, other = keys[p], keys[(p + 1) % len(keys)]
+        for change in ("scale", "zero", "swap", "add"):
+            images = dict(hom.images)
+            if change == "scale":
+                images[k] = images[k].scale(zeta4)
+            elif change == "zero":
+                images[k] = hom.target.zero()
+            elif change == "swap":
+                images[k], images[other] = images[other], images[k]
+            else:
+                images[k] = images[k] + images[other]
+            yield GradedHom(hom.source, hom.target, images)
+
+
+def _constructed_maps():
+    doc = parse_doc((FIXTURES / "klein_twisted.json").read_text())
+    pres = doc.presentations
+    maps = [construct(pres["A"], pres["B2"], decide(pres["A"], pres["B2"]))]
+    doc = parse_doc((FIXTURES / "dihedral_regular.json").read_text())
+    a, b = doc.presentations["A"], doc.presentations["Breg"]
+    maps.append(construct(a, b, decide(a, b)))
+    taken = {}
+    for inst in generate_corpus(7, 6, 80):
+        name = inst.a.group.name
+        if name not in ("Z4", "Z6", "Z2xZ2") or inst.a.dim > 18 \
+                or taken.get(name, 0) == 3:
+            continue
+        decision = decide(inst.a, inst.b)
+        if decision.verdict:
+            maps.append(construct(inst.a, inst.b, decision))
+            taken[name] = taken.get(name, 0) + 1
+    assert taken == {"Z4": 3, "Z6": 3, "Z2xZ2": 3}
+    return maps
+
+
+def test_generator_route_matches_all_pairs_sweep():
+    """Constructed maps over Z2xZ2, Z4, Z6 and D4, a direct-sum map and
+    twist isomorphisms from envelope carriers, each also perturbed: every
+    certificate field, failures included, equals the all-pairs sweep."""
+    maps = _constructed_maps()
+    doc = parse_doc((FIXTURES / "zmod10_block_sum.json").read_text())
+    pres = doc.presentations
+    maps.append(embed_into_power(SemisimplePresentation([pres["A1"], pres["A2"]]),
+                                 SemisimplePresentation([pres["B"]]))[1])
+    doc = parse_doc((FIXTURES / "klein_twisted.json").read_text())
+    maps += [alpha_envelope(doc.presentations[name], doc.cocycles[c]).iso
+             for name in ("A", "B2") for c in ("twist", "untwist")]
+    seen = set()
+    for hom in maps:
+        seen.add(type(hom.source).__name__)
+        for variant in [hom, *_perturbed(hom)]:
+            assert _fields(verify_hom(variant)) == \
+                _fields(_all_pairs_certificate(variant))
+    assert seen == {"GradedPresentation", "DirectSumAlgebra",
+                    "EnvelopeCarrier"}
+
+
+def test_generating_keys_reach_every_key(klein, klein_classes, z4):
+    """Products of generating keys reach every basis key with a nonzero
+    coefficient: the property verify_hom's shortcut rests on."""
+    algebras = [GradedPresentation(klein, klein.full_subgroup(), alpha,
+                                   GTuple(klein, s))
+                for alpha in klein_classes for s in ([0], [1, 2, 1])]
+    algebras += [GradedPresentation.elementary(z4, GTuple(z4, s))
+                 for s in ([0], [3, 1, 1])]
+    algebras.append(GradedPresentation(z4, z4.closure([2]),
+                                       Cocycle.trivial(z4.closure([2])),
+                                       GTuple(z4, [1, 0])))
+    doc = parse_doc((FIXTURES / "dihedral_regular.json").read_text())
+    algebras += list(doc.presentations.values())
+    algebras.append(DirectSumAlgebra(algebras[:3]))
+    for alg in algebras:
+        gens = alg.generating_keys()
+        reached = set(gens)
+        frontier = list(gens)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                for k in alg.mul_basis(g, x):
+                    if k not in reached:
+                        reached.add(k)
+                        frontier.append(k)
+        assert reached == set(alg.basis_keys())
+
+
+def test_passing_map_sweeps_generators_times_basis(monkeypatch):
+    doc = parse_doc((FIXTURES / "klein_twisted.json").read_text())
+    a, b = doc.presentations["A"], doc.presentations["B2"]
+    hom = construct(a, b, decide(a, b))
+    calls = []
+    original = a.mul_basis
+
+    def counted(k1, k2):
+        calls.append((k1, k2))
+        return original(k1, k2)
+
+    monkeypatch.setattr(a, "mul_basis", counted)
+    assert verify_hom(hom).is_embedding
+    assert len(calls) == len(a.generating_keys()) * a.dim < a.dim ** 2
+
+
+def test_inverse_of_monomial_maps(klein, klein_classes, z4):
+    _, nt = klein_classes
+    p = GradedPresentation(klein, klein.full_subgroup(), nt,
+                           GTuple(klein, [0, 3]))
+    _, step = replace_representative(p, 1, 0)
+    env = alpha_envelope(p, nt)
+    h = z4.subgroup([0, 2])
+    q = GradedPresentation(z4, h, Cocycle.trivial(h), GTuple(z4, [0, 2]))
+    _, conj = conjugate_presentation(q, 1)
+    for hom in (step, env.iso, conj, env.iso.compose(GradedHom.identity(
+            env.carrier))):
+        inv = hom.inverse()
+        for back, there in ((inv.compose(hom), hom.source),
+                            (hom.compose(inv), hom.target)):
+            assert all(back.images[k] == there.basis_element(k)
+                       for k in there.basis_keys())
+
+
+def test_inverse_rejects_non_monomial_maps(z4):
+    a = GradedPresentation.elementary(z4, GTuple(z4, [0, 0]))
+    keys = a.basis_keys()
+    ident = GradedHom.identity(a)
+    spread = dict(ident.images)
+    spread[keys[0]] = spread[keys[0]] + spread[keys[3]]
+    merged = dict(ident.images)
+    merged[keys[0]] = merged[keys[3]]
+    zeroed = dict(ident.images)
+    zeroed[keys[0]] = a.zero()
+    for images in (spread, merged, zeroed):
+        with pytest.raises(VerificationFailed):
+            GradedHom(a, a, images).inverse()
+    sub, incl = sub_presentation(a, [0])
+    with pytest.raises(VerificationFailed):
+        incl.inverse()
