@@ -18,7 +18,7 @@ from .embed import construct, decide
 from .envelope import alpha_envelope
 from .errors import GradAlgError, ParseError, ValidationError
 from .galg import GradedHom, GradedPresentation, verify_hom
-from .groups import FiniteGroup, build_group, group_to_json
+from .groups import build_group, group_to_json
 from .identities import get_budget, inclusion_bounded
 from .scalars import CyclotomicScalar
 from .semisimple import SemisimplePresentation, embed_into_power

@@ -110,16 +110,6 @@ class Cocycle:
         vals = {(a, b): self.values[(a, b)] for a in sub for b in sub}
         return Cocycle.verify_and_normalize(sub, vals)
 
-    def conjugate(self, g: int) -> Cocycle:
-        """The cocycle alpha_g on gHg^-1 with alpha_g(gxg^-1, gyg^-1) = alpha(x, y)."""
-        group = self.subgroup.parent
-        group.check_element(g)
-        conj = {h: group.conjugate(g, h) for h in self.subgroup}
-        target = group._interned(conj.values())
-        vals = {(conj[a], conj[b]): self.values[(a, b)]
-                for a in self.subgroup for b in self.subgroup}
-        return Cocycle.verify_and_normalize(target, vals)
-
     def iterated(self, tup: GTuple) -> CyclotomicScalar:
         """The scalar relating the basis product over a tuple to a single basis
         element: U_{g1}...U_{gn} = alpha(g1,...,gn) U_{g1...gn}."""

@@ -1,24 +1,34 @@
 """Decide graded embeddability between presentations and build certified maps.
 
 The decision reduces to a tuple-subsumption test: intersect the subgroups,
-take the minimal irreducible dimension of the mixed cocycle, and ask whether
-some shift of the target tuple dominates the pattern tuple coset-wise.  The
-construction mirrors the decision: trivialize the target's cocycle by a twist,
-embed the twisted subgroup algebra through its minimal representation, spread
-it over a transversal by the right regular action, and undo the twist.
+take the minimal irreducible dimension d of the mixed cocycle on the
+intersection H, and ask whether some shift of the target tuple dominates the
+pattern tuple coset-wise.
+
+The construction follows the proof and writes each image straight into the
+target B = (N2, beta, t).  The source cocycle is normalized along a
+transversal T of H in N1; the intersection part u_h -> u_h (x) rho(h), with
+rho the minimal projective representation of gamma = alpha_t|H / beta|H, is
+spread over T by the right regular action; and each key of the resulting
+pattern-shaped block goes into B through one monomial table, set by the
+matched tuple positions and the representative-replacement factors.  For an
+elementary target over a non-abelian group the block is the right regular
+representation of the twisted subgroup algebra, placed the same way.  Each
+returned map is certified once, by verify_hom.
 """
 
 from __future__ import annotations
 
-from .cocycles import Cocycle, smallest_irrep, transversal_normalize
-from .envelope import alpha_envelope, envelope_lift
+from math import lcm
+
+from .cocycles import smallest_irrep, transversal_normalize
 from .errors import (DecisionFalse, ElementOutsideGroup, MismatchedParent,
-                     NonAbelianUnsupported, NotTransversal, VerificationFailed)
-from .galg import (GradedHom, GradedPresentation, replace_representative,
-                   sub_presentation, verify_hom)
+                     NonAbelianUnsupported, NotSameCoset, NotTransversal,
+                     VerificationFailed)
+from .galg import GradedHom, GradedPresentation, verify_hom
 from .groups import GTuple, Subgroup
 from .scalars import CyclotomicScalar
-from .tuples import CosetMultiset, exists_shift, subsume_mod
+from .tuples import exists_shift, subsume_mod
 
 ONE = CyclotomicScalar.one()
 
@@ -160,15 +170,6 @@ def transversal_action(n1: Subgroup, h_sub: Subgroup, transversal: GTuple,
     return out
 
 
-def _shifted_copy(b: GradedPresentation, g: int) -> tuple[GradedPresentation, GradedHom]:
-    """The presentation on the shifted tuple; over an abelian group (or a
-    trivial subgroup) the degree map is unchanged, so the identity on basis
-    keys is a graded isomorphism onto the original."""
-    shifted = GradedPresentation(b.group, b.H, b.alpha, b.s.shift(g))
-    images = {k: b.basis_element(k) for k in shifted.basis_keys()}
-    return shifted, GradedHom(shifted, b, images)
-
-
 def _match_pattern_positions(target: GTuple, pattern: GTuple,
                              modulo: Subgroup) -> list[int]:
     """Greedy injection of pattern positions into target positions with
@@ -187,41 +188,101 @@ def _match_pattern_positions(target: GTuple, pattern: GTuple,
     return positions
 
 
-def _part1_core(x: GradedPresentation, y: GradedPresentation,
-                beta: Cocycle) -> GradedHom:
-    """Embed a twisted subgroup algebra into the target twisted algebra
-    tensored with a trivially graded matrix block, through the minimal
-    representation of the mixed cocycle.
+def _placement(b: GradedPresentation, shift: int, pattern: GTuple,
+               modulo: Subgroup):
+    """The monomial table from the pattern-shaped block into b.
 
-    Both sides are twisted by the inverse target cocycle, the representation
-    map is built there, and the twist is undone; the route is taken even when
-    the target cocycle is trivial so that one code path serves all cases.
+    The pattern is matched into the shifted tuple s = shift * t of b
+    (positions, coset-wise mod `modulo`).  A shift moves no key: over an
+    abelian group, or for a trivial subgroup, deg(h, i, j) is the same for t
+    and s.  Where the matched entry s_k differs from pattern[k], the two lie
+    in one coset, s_k = h_k * pattern[k] with h_k in the subgroup, and the
+    block key (m, p, q) stands for u_{h_p} u_m u_{h_q}^-1 = A^-1 u_h on
+    positions p, q of b, where h = h_p m h_q^-1 and u_{h_p}^-1 u_h u_{h_q} =
+    A u_m: the key (h, pos[p], pos[q]), of the same degree, divided by A.
+    Conjugating by the u_{h_k} respects products (the inner
+    u_{h_q}^-1 u_{h_q} cancel in E_pq E_qr), so the table is an isomorphism
+    of the pattern-shaped presentation onto the corner of b on the matched
+    positions.
+
+    Returns place(m, p, q, coeff) -> (key of b, coeff / A).
     """
-    delta = beta.inverse()
-    env_x = alpha_envelope(x, delta)
-    env_y = alpha_envelope(y, delta)
-    gamma = env_x.presentation.alpha
-    rep = smallest_irrep(gamma)
+    group = b.group
+    t, inv, e = group.table, group.inverses, group.identity
+    beta = b.alpha.values
+    entries = b.s.shift(shift)
+    positions = _match_pattern_positions(entries, pattern, modulo)
+    h_of = {}
+    for k, p in enumerate(pattern):
+        s_k = entries[positions[k]]
+        if s_k != p:
+            if modulo.coset_rep(s_k) != modulo.coset_rep(p):
+                raise NotSameCoset(f"{s_k} and {p} lie in different cosets")
+            h_of[k] = t[s_k][inv[p]]
+
+    def place(m, p, q, coeff):
+        h = t[t[h_of.get(p, e)][m]][inv[h_of.get(q, e)]]
+        key = (h, positions[p], positions[q])
+        if p not in h_of and q not in h_of:
+            return key, coeff
+        # A is built one position at a time, in ascending order, row before
+        # column on the diagonal.  Its value is the same in any order (the
+        # cocycle identity), but its conductor, the lcm of the conductors
+        # of the cocycle entries multiplied in, is not, and to_json prints
+        # the conductor unreduced; this order keeps reports byte-identical.
+        a = ONE
+        for k in sorted({p, q}):
+            if k not in h_of:
+                continue
+            hk = h_of[k]
+            if k == p:
+                a = a * beta[(hk, inv[hk])].inverse() * beta[(inv[hk], h)]
+                h = t[inv[hk]][h]
+            if k == q:
+                a = a * beta[(h, hk)]
+                h = t[h][hk]
+        return key, coeff * a.inverse()
+
+    return place
+
+
+def _rho_map(x: GradedPresentation, y: GradedPresentation) -> GradedHom:
+    """(h,0,0) -> sum_{u,v} rho(h)[u][v] (h,u,v), from x = (H, alpha, (e))
+    into y = (N, beta, (e)^d), with rho the minimal projective
+    representation of gamma = alpha / beta|H.
+
+    In y, (h,u,v)(h',v,w) = beta(h,h') (hh',u,w), and a product whose inner
+    indices differ is 0.  So the images multiply to
+    beta(h,h') sum_{u,w} (rho(h) rho(h'))[u][w] (hh',u,w)
+    = beta(h,h') gamma(h,h') phi(hh') = alpha(h,h') phi(hh'),
+    which is the image of (h,0,0)(h',0,0) = alpha(h,h') (hh',0,0).  Each
+    (h,u,v) has degree h in y, as (h,0,0) has in x, and rho(h) is
+    invertible, so the images are nonzero and lie in distinct components:
+    the map is an injective graded homomorphism.
+    """
+    e = x.group.identity
+    beta = y.alpha.values
+    rep = smallest_irrep(x.alpha.ratio(y.alpha.restrict(x.H)))
     if rep.dim != y.r:
         raise VerificationFailed("matrix block does not match the minimal "
                                  "representation dimension")
-    xp, yp = env_x.presentation, env_y.presentation
+    # Each coefficient carries the conductor of root^2 / (beta(e,h) beta(h,e))
+    # with root = beta(e,e).sqrt_root_of_unity(), the unit by which the
+    # cocycle twist of both sides scales this map.  The unit is 1 for a
+    # normalized cocycle, but root comes back at conductor 4 or more
+    # (zeta_4^0 when beta(e,e) has conductor 1), and to_json prints the
+    # conductor unreduced; keeping it keeps reports byte-identical.
+    root = beta[(e, e)].sqrt_root_of_unity().conductor
     images = {}
-    for h in xp.H:
+    for h in x.H:
+        pad = CyclotomicScalar.one(lcm(root, beta[(e, h)].conductor,
+                                       beta[(h, e)].conductor))
         mat = rep.rho[h]
-        terms = {}
-        for u in range(rep.dim):
-            for v in range(rep.dim):
-                if not mat[u][v].is_zero():
-                    terms[(h, u, v)] = mat[u][v]
-        images[(h, 0, 0)] = yp.element(terms)
-    kappa = GradedHom(xp, yp, images)
-
-    env_x2 = alpha_envelope(xp, beta)
-    env_y2 = alpha_envelope(yp, beta)
-    lifted = envelope_lift(kappa, env_x2, env_y2)
-    phi = env_y2.iso.compose(lifted).compose(env_x2.iso.inverse())
-    return phi.rebind(source=x, target=y)
+        images[(h, 0, 0)] = y.element({
+            (h, u, v): mat[u][v] * pad
+            for u in range(rep.dim) for v in range(rep.dim)
+            if not mat[u][v].is_zero()})
+    return GradedHom(x, y, images)
 
 
 def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
@@ -237,36 +298,21 @@ def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
     t1 = GTuple(group, [group.identity if w in h_sub.members else w
                         for w in t1_raw])
     pattern = GTuple.const(group, d).product(t1).product(a.s)
+    place = _placement(b, decision.shift, pattern, n2)
 
-    shifted, shift_back = _shifted_copy(b, decision.shift)
-    positions = _match_pattern_positions(shifted.s, pattern, n2)
-    b1, include = sub_presentation(shifted, positions)
-
-    # align representatives: b1's tuple agrees with the pattern coset-wise
-    # per position, so entrywise replacements reach the pattern tuple
-    align = GradedHom.identity(b1)
-    current = b1
-    for k in range(len(pattern)):
-        if current.s[k] != pattern[k]:
-            current, step = replace_representative(current, k, pattern[k])
-            align = step.compose(align)
-    b2 = current
-
-    # normalize the source cocycle along the transversal and rescale
+    # normalize the source cocycle along the transversal: the basis
+    # v_n = c(n) u_n multiplies by alpha_t, so u_n goes to c(n)^-1 times the
+    # image of v_n
     alpha_t, c = transversal_normalize(a.alpha, h_sub, t1)
-    a_t = GradedPresentation(group, n1, alpha_t, a.s)
-    eta = GradedHom(a, a_t, {
-        (n, i, j): a_t.element({(n, i, j): c[n].inverse()})
-        for n in n1 for i in range(a.r) for j in range(a.r)})
 
     # minimal-representation embedding of the intersection part
     x = GradedPresentation(group, h_sub, alpha_t.restrict(h_sub),
                            GTuple.const(group, 1))
     y = GradedPresentation(group, n2, b.alpha, GTuple.const(group, d))
-    phi_h = _part1_core(x, y, b.alpha)
+    rho = _rho_map(x, y).images
 
-    # spread over the transversal by the right regular action and extend
-    # over the matrix part
+    # spread over the transversal by the right regular action, extend over
+    # the matrix part, and place each key into b
     t1_len = len(t1)
     w_index = {w: wi for wi, w in enumerate(t1)}
     r = a.r
@@ -277,24 +323,19 @@ def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
     images = {}
     for n in n1:
         action = transversal_action(n1, h_sub, t1, n)
+        c_inv = c[n].inverse()
         for i in range(r):
             for j in range(r):
                 terms = {}
                 for w in t1:
                     h_w, w2 = action[w]
-                    coeff0 = alpha_t.values[(w, n)]
-                    base = phi_h.images[(h_w, 0, 0)]
-                    for (m, u, v), sc in base.terms.items():
-                        key = (m, flat(u, w_index[w], i),
-                               flat(v, w_index[w2], j))
-                        val = coeff0 * sc
-                        terms[key] = terms[key] + val if key in terms else val
-                images[(n, i, j)] = b2.element(terms)
-    phi = GradedHom(a_t, b2, images)
-
-    total = shift_back.compose(include.compose(
-        align.inverse().compose(phi.compose(eta))))
-    return total
+                    coeff0 = c_inv * alpha_t.values[(w, n)]
+                    for (m, u, v), sc in rho[(h_w, 0, 0)].terms.items():
+                        key, val = place(m, flat(u, w_index[w], i),
+                                         flat(v, w_index[w2], j), coeff0 * sc)
+                        terms[key] = val
+                images[(n, i, j)] = b.element(terms)
+    return GradedHom(a, b, images)
 
 
 def _construct_elementary(a: GradedPresentation, b: GradedPresentation,
@@ -302,17 +343,12 @@ def _construct_elementary(a: GradedPresentation, b: GradedPresentation,
     group = a.group
     h_members = sorted(a.H.members)
     h_index = {h: k for k, h in enumerate(h_members)}
-    pattern = decision.pattern
-
-    shifted, shift_back = _shifted_copy(b, decision.shift)
-    positions = _match_pattern_positions(shifted.s, pattern,
-                                         group.trivial_subgroup())
-    b1, include = sub_presentation(shifted, positions)
+    place = _placement(b, decision.shift, decision.pattern,
+                       group.trivial_subgroup())
 
     # right regular representation of the twisted subgroup algebra
     e = group.identity
     r = a.r
-    order = len(h_members)
 
     def flat(hk, i):
         return hk * r + i
@@ -324,26 +360,26 @@ def _construct_elementary(a: GradedPresentation, b: GradedPresentation,
                 terms = {}
                 for x in h_members:
                     xh = group.table[x][h]
-                    terms[(e, flat(h_index[x], i), flat(h_index[xh], j))] = \
-                        a.alpha.values[(x, h)]
-                images[(h, i, j)] = b1.element(terms)
-    psi = GradedHom(a, b1, images)
-    return shift_back.compose(include.compose(psi))
+                    key, val = place(e, flat(h_index[x], i),
+                                     flat(h_index[xh], j),
+                                     a.alpha.values[(x, h)])
+                    terms[key] = val
+                images[(h, i, j)] = b.element(terms)
+    return GradedHom(a, b, images)
 
 
 def construct(a: GradedPresentation, b: GradedPresentation,
               decision: EmbedDecision) -> GradedHom:
     """Build and certify the embedding promised by a true decision.
 
-    The intermediate maps (twist isomorphisms, representative replacements,
-    inclusions) are plain builders; the returned map is certified here, once,
-    by verify_hom, and the HomCertificate is stored on it as
+    Each image is written straight into b.  The returned map is certified
+    here, once, by verify_hom, and the HomCertificate is stored on it as
     `hom.certificate`.  Raises VerificationFailed if the certificate fails.
     """
     if not decision.verdict:
         raise DecisionFalse("construction requires a true decision")
     if a.same_data(b):
-        hom = GradedHom.identity(a).rebind(target=b)
+        hom = GradedHom(a, b, {k: b.basis_element(k) for k in a.basis_keys()})
     elif decision.case == "elementary_nonabelian":
         hom = _construct_elementary(a, b, decision)
     else:

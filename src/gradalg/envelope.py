@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .cocycles import Cocycle
 from .errors import MismatchedGroup, VerificationFailed
-from .galg import AlgebraElement, GradedHom, GradedPresentation, _AlgebraBase
+from .galg import GradedHom, GradedPresentation, _AlgebraBase
 from .groups import GTuple
 
 
@@ -86,8 +86,8 @@ def alpha_envelope(b: GradedPresentation, alpha: Cocycle) -> AlphaEnvelope:
     where root_i is the canonical square root of alpha(s_i^-1, s_i).
 
     The iso is built, not certified: the `envelope` command certifies it
-    where it leaves the API, and embed.construct certifies the maps built
-    from it.
+    where it leaves the API, and any other caller certifies it with
+    verify_hom.
 
     No other choice of roots can certify where this one fails.  For the
     product of the lines (h, i, j) and (h', j, l), the factors carry
@@ -138,32 +138,6 @@ def round_trip_iso(b: GradedPresentation, alpha: Cocycle):
         _, (_, bkey) = key
         images[key] = b.basis_element(bkey)
     return carrier, GradedHom(carrier, b, images)
-
-
-def envelope_lift(hom: GradedHom, env_src: AlphaEnvelope,
-                  env_tgt: AlphaEnvelope) -> GradedHom:
-    """Lift a graded map through matching twists: (U_g ox x) -> (U_g ox hom(x))."""
-    carrier_src = env_src.carrier
-    carrier_tgt = env_tgt.carrier
-    images = {}
-    for key in carrier_src.basis_keys():
-        tkey, xkey = key
-        image = hom.images[xkey]
-        images[key] = AlgebraElement(
-            carrier_tgt, {(tkey, kk): v for kk, v in image.terms.items()})
-    return GradedHom(carrier_src, carrier_tgt, images)
-
-
-def transport_hom_through_envelope(hom: GradedHom, alpha: Cocycle) -> GradedHom:
-    """Conjugate a presentation map by the cocycle twist on both sides.
-
-    Produces the twisted map between the normal-form presentations of the
-    twisted source and target.
-    """
-    env_src = alpha_envelope(hom.source, alpha)
-    env_tgt = alpha_envelope(hom.target, alpha)
-    lifted = envelope_lift(hom, env_src, env_tgt)
-    return env_tgt.iso.compose(lifted).compose(env_src.iso.inverse())
 
 
 def falpha(poly, alpha: Cocycle):

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from . import linalg
 from .cocycles import Cocycle
-from .errors import (MismatchedParent, NotSameCoset, NotSubgroup,
-                     VerificationFailed)
+from .errors import MismatchedParent
 from .groups import FiniteGroup, GTuple, Subgroup
 from .scalars import CyclotomicScalar
-from .tuples import coset_decompose
 
 ONE = CyclotomicScalar.one()
 
@@ -347,12 +345,6 @@ class DirectSumAlgebra(_AlgebraBase):
                                      for k, v in element.terms.items()})
 
 
-def to_structure_algebra(algebra) -> StructureAlgebra:
-    if isinstance(algebra, StructureAlgebra):
-        return algebra
-    return StructureAlgebra.from_algebra(algebra)
-
-
 # -- homomorphisms -------------------------------------------------------------
 
 
@@ -409,52 +401,6 @@ class GradedHom:
             out = out + self.images[k].scale(v)
         return out
 
-    def compose(self, inner: GradedHom) -> GradedHom:
-        """self after inner."""
-        if inner.target is not self.source:
-            raise MismatchedParent("composition mismatch")
-        images = {k: self.apply(img) for k, img in inner.images.items()}
-        return GradedHom(inner.source, self.target, images)
-
-    def inverse(self) -> GradedHom:
-        """Inverse of a bijective monomial map, term by term.
-
-        A monomial map sends each source key k to c_k times one target key
-        t_k, with c_k nonzero; it is bijective when k -> t_k is a bijection
-        of bases, and its inverse sends t_k to c_k^-1 times k.  Every map
-        inverted in gradalg is of this kind (relabellings, twist
-        isomorphisms, representative replacements and their composites);
-        any other map raises VerificationFailed.
-        """
-        images = {}
-        for k, img in self.images.items():
-            if len(img.terms) != 1:
-                raise VerificationFailed(f"image of {k} is not a single term")
-            (tk, c), = img.terms.items()
-            if tk in images:
-                raise VerificationFailed(f"two source keys map onto {tk}")
-            images[tk] = AlgebraElement(self.source, {k: c.inverse()})
-        if len(images) != self.target.dim:
-            raise VerificationFailed("map does not reach every target key")
-        return GradedHom(self.target, self.source, images)
-
-    def rebind(self, source=None, target=None) -> GradedHom:
-        """The same map with source/target swapped for equal presentations."""
-        new_src = source if source is not None else self.source
-        new_tgt = target if target is not None else self.target
-        if source is not None and not _same_algebra(self.source, source):
-            raise VerificationFailed("rebind onto a different source algebra")
-        if target is not None and not _same_algebra(self.target, target):
-            raise VerificationFailed("rebind onto a different target algebra")
-        images = {k: AlgebraElement(new_tgt, dict(img.terms))
-                  for k, img in self.images.items()}
-        return GradedHom(new_src, new_tgt, images)
-
-    @classmethod
-    def identity(cls, algebra) -> GradedHom:
-        return cls(algebra, algebra,
-                   {k: algebra.basis_element(k) for k in algebra.basis_keys()})
-
     def to_json(self):
         return {"images": [{"key": list(k) if isinstance(k, tuple) else k,
                             "terms": [{"key": list(kk) if isinstance(kk, tuple) else kk,
@@ -463,14 +409,6 @@ class GradedHom:
                                                           key=lambda t: str(t[0]))]}
                            for k, img in sorted(self.images.items(),
                                                 key=lambda t: str(t[0]))]}
-
-
-def _same_algebra(a, b) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, GradedPresentation) and isinstance(b, GradedPresentation):
-        return a.same_data(b)
-    return False
 
 
 def _product_failures(hom: GradedHom, left, right) -> list:
@@ -562,106 +500,3 @@ def sub_presentation(a: GradedPresentation, indices) -> tuple[GradedPresentation
               for h in a.H for i in range(len(indices))
               for j in range(len(indices))}
     return sub, GradedHom(sub, a, images)
-
-
-def permute_tuple(a: GradedPresentation, sigma) -> tuple[GradedPresentation, GradedHom]:
-    """Reorder the defining tuple; the matrix indices move inversely.
-
-    Builds the permuted presentation and the basis-relabelling isomorphism
-    onto it without certifying it; a caller that hands the map out
-    certifies it with verify_hom.
-    """
-    r = a.r
-    inv = [0] * r
-    for i in range(r):
-        inv[sigma[i]] = i
-    target = GradedPresentation(a.group, a.H, a.alpha, a.s.permute(sigma))
-    images = {(h, i, j): target.basis_element((h, inv[i], inv[j]))
-              for h in a.H for i in range(r) for j in range(r)}
-    return target, GradedHom(a, target, images)
-
-
-def replace_representative(a: GradedPresentation, i: int, t: int) \
-        -> tuple[GradedPresentation, GradedHom]:
-    """Swap tuple entry i for another representative of the same right coset.
-
-    Builds the new presentation and the isomorphism onto it, which rescales
-    the lines of row and column i by cocycle values; the map is not
-    certified here.  embed.construct composes it into the embeddings it
-    returns and certifies the composite once.
-    """
-    group = a.group
-    s_i = a.s[i]
-    if a.H.coset_rep(s_i) != a.H.coset_rep(t):
-        raise NotSameCoset(f"{s_i} and {t} lie in different cosets")
-    h_tilde = group.table[s_i][group.inverses[t]]  # s_i = h_tilde * t
-    entries = list(a.s.entries)
-    entries[i] = t
-    target = GradedPresentation(group, a.H, a.alpha, GTuple(group, entries))
-    alpha = a.alpha
-    ht_inv = group.inverses[h_tilde]
-    norm = alpha.values[(h_tilde, ht_inv)].inverse()
-    images = {}
-    for h in a.H:
-        for j in range(a.r):
-            for k in range(a.r):
-                if j != i and k != i:
-                    images[(h, j, k)] = target.basis_element((h, j, k))
-                elif j == i and k != i:
-                    coeff = norm * alpha.values[(ht_inv, h)]
-                    images[(h, j, k)] = target.element(
-                        {(group.table[ht_inv][h], i, k): coeff})
-                elif j != i and k == i:
-                    coeff = alpha.values[(h, h_tilde)]
-                    images[(h, j, k)] = target.element(
-                        {(group.table[h][h_tilde], j, i): coeff})
-                else:
-                    hh = group.table[ht_inv][h]
-                    coeff = (norm * alpha.values[(ht_inv, h)]
-                             * alpha.values[(hh, h_tilde)])
-                    images[(h, j, k)] = target.element(
-                        {(group.table[hh][h_tilde], i, i): coeff})
-    return target, GradedHom(a, target, images)
-
-
-def conjugate_presentation(a: GradedPresentation, g: int) \
-        -> tuple[GradedPresentation, GradedHom]:
-    """Conjugate the subgroup and left-shift the tuple by g.
-
-    Builds the conjugated presentation and the basis-relabelling isomorphism
-    onto it without certifying it; a caller that hands the map out
-    certifies it with verify_hom.
-    """
-    group = a.group
-    group.check_element(g)
-    new_alpha = a.alpha.conjugate(g)
-    target = GradedPresentation(group, new_alpha.subgroup, new_alpha,
-                                a.s.shift(g))
-    images = {(h, i, j): target.basis_element((group.conjugate(g, h), i, j))
-              for h in a.H for i in range(a.r) for j in range(a.r)}
-    return target, GradedHom(a, target, images)
-
-
-def block_decompose(a: GradedPresentation, big: Subgroup):
-    """Diagonal blocks of the presentation along right cosets of `big`.
-
-    Returns a list of (coset representative, positions, block presentation).
-    Verifies that the degree part lying in `big` is exactly the span of the
-    diagonal blocks.
-    """
-    if not big.contains_subgroup(a.H):
-        raise NotSubgroup("block subgroup must contain the twisted subgroup")
-    parts = coset_decompose(a.s, big)
-    blocks = []
-    diag_keys = set()
-    for rep, sub_tuple, positions in parts:
-        block = GradedPresentation(a.group, a.H, a.alpha, sub_tuple)
-        blocks.append((rep, positions, block))
-        diag_keys.update((h, i, j) for h in a.H
-                         for i in positions for j in positions)
-    for key in a.basis_keys():
-        inside = a.basis_degree(key) in big.members
-        if inside != (key in diag_keys):
-            raise VerificationFailed(
-                "degree part over the subgroup is not the block diagonal")
-    return blocks

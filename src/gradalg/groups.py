@@ -8,8 +8,6 @@ Subgroup object per member set and hands that object out every time.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import (ElementOutsideGroup, MismatchedParent, NoIdentity,
                      NotAssociative, NotLatinSquare, NotSubgroup)
 
@@ -157,10 +155,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def conjugate(self, g: int, h: int) -> int:
-        """g * h * g^-1."""
-        return self.table[self.table[g][h]][self.inverses[g]]
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inverses[a], -k)
@@ -228,7 +222,6 @@ class FiniteGroup:
 
     def all_subgroups(self, max_generators: int = 4) -> list[Subgroup]:
         """All subgroups, by closing generator sets (fine at table scale)."""
-        from itertools import combinations
         found = {frozenset([self.identity])}
         frontier = [frozenset([self.identity])]
         while frontier:
@@ -421,11 +414,6 @@ class GTuple:
 
     def sub(self, indices) -> GTuple:
         return GTuple(self.group, [self.entries[i] for i in indices])
-
-    def permute(self, sigma) -> GTuple:
-        """Entries reordered as t[sigma(i)]."""
-        return GTuple(self.group, [self.entries[sigma[i]]
-                                   for i in range(len(self.entries))])
 
 
 def build_group(spec: dict) -> FiniteGroup:

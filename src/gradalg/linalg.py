@@ -91,8 +91,8 @@ def kernel(rows, ncols: int) -> list[list[CyclotomicScalar]]:
 def invert_matrix(mat: list[list[CyclotomicScalar]]) -> list[list[CyclotomicScalar]]:
     """Inverse of a square matrix by exact Gauss-Jordan elimination.
 
-    Nothing in gradalg calls it (GradedHom.inverse inverts monomial maps
-    term by term); it stays because bench/tracer.py binds it by name."""
+    Nothing in gradalg calls it; it stays because bench/tracer.py binds it
+    by name."""
     n = len(mat)
     aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
            for i, row in enumerate(mat)]

@@ -20,6 +20,7 @@ constructor coerces its entries and checks the length.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -343,8 +344,16 @@ class CyclotomicScalar:
 
     @classmethod
     def from_json(cls, data) -> CyclotomicScalar:
-        coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
-        return cls(int(data["conductor"]), coeffs)
+        """Read the to_json form: the conductor an int, each numerator and
+        denominator a decimal-integer string.  Any other value raises
+        ValueError instead of being coerced, since int() would read 1.5 as
+        1 and true as 1, and the scalar read would not be the one written."""
+        conductor = data["conductor"]
+        if type(conductor) is not int:
+            raise ValueError(f"conductor must be an integer, not {conductor!r}")
+        coeffs = [Fraction(_decimal(num), _decimal(den))
+                  for num, den in data["coeffs"]]
+        return cls(conductor, coeffs)
 
 
 _new_scalar = object.__new__
@@ -371,6 +380,15 @@ def _unity_power_coeffs(M: int) -> tuple[tuple[Fraction, ...], ...]:
         acc = acc * z
         rows.append(acc.coeffs)
     return tuple(rows)
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text) -> int:
+    if not isinstance(text, str) or _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"expected a decimal-integer string, not {text!r}")
+    return int(text)
 
 
 def _coerce(value):

@@ -91,22 +91,6 @@ def match_components(a: SemisimplePresentation, b: SemisimplePresentation):
     return tau
 
 
-def match_permutation(a: SemisimplePresentation, b: SemisimplePresentation):
-    """For minimal sets with mutually matching components, certify that the
-    matching is a bijection with identity-ideal equality per pair."""
-    tau = match_components(a, b)
-    pi = match_components(b, a)
-    if any(t is None for t in tau) or any(p is None for p in pi):
-        raise NoMatch(tau.index(None) if None in tau else pi.index(None))
-    n, m = len(a.components), len(b.components)
-    if n != m or sorted(tau) != list(range(m)):
-        raise VerificationFailed("matching is not a permutation")
-    for i, j in enumerate(tau):
-        if not pair_inclusion(b.components[j], a.components[i]):
-            raise VerificationFailed("matched pair lacks mutual inclusion")
-    return tau
-
-
 def _feasible_assignment(candidates: list[list[int]], m: int, copies: int):
     """Match each source index to a (copy, target) slot, at most one source
     per slot; None when infeasible."""

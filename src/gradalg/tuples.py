@@ -40,34 +40,10 @@ class CosetMultiset:
         return f"CosetMultiset({dict(self.counts)})"
 
 
-def equiv_mod(s: GTuple, t: GTuple, subgroup: Subgroup) -> bool:
-    """s ~ t mod H: reachable by permutations and left H-multiplications."""
-    return CosetMultiset.of(s, subgroup) == CosetMultiset.of(t, subgroup)
-
-
 def subsume_mod(s: GTuple, pattern: GTuple, subgroup: Subgroup) -> bool:
     """s >= pattern mod H: s has a sub-tuple equivalent to the pattern."""
     return CosetMultiset.of(s, subgroup).contains(
         CosetMultiset.of(pattern, subgroup))
-
-
-def coset_decompose(s: GTuple, big: Subgroup):
-    """Split s into blocks per right coset of `big`.
-
-    Returns a list of (representative, sub-tuple, positions), representatives
-    canonical and in order of first appearance of the coset in s.
-    """
-    if s.group is not big.parent:
-        raise MismatchedParent("tuple and subgroup from different groups")
-    order = []
-    blocks: dict[int, list[int]] = {}
-    for pos, x in enumerate(s):
-        rep = big.coset_rep(x)
-        if rep not in blocks:
-            blocks[rep] = []
-            order.append(rep)
-        blocks[rep].append(pos)
-    return [(rep, s.sub(blocks[rep]), tuple(blocks[rep])) for rep in order]
 
 
 def exists_shift(t: GTuple, pattern: GTuple, subgroup: Subgroup) -> int | None:

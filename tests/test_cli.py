@@ -189,6 +189,53 @@ def test_verify_rejects_malformed_report_without_traceback(tmp_path, capsys,
     assert f"error: {path}: " in err
 
 
+def _scalar_doc(value):
+    """A one-presentation document whose only cocycle value is `value`."""
+    alpha = {"subgroup": {"elements": [0]}, "values": [[value]]}
+    return {"group": _GROUP, "presentations": {"A": {**_TRIVIAL,
+                                                     "alpha": alpha}}}
+
+
+@pytest.mark.parametrize("value", [
+    {"conductor": 1, "coeffs": [[1.5, "1"]]},
+    {"conductor": 1, "coeffs": [[True, "1"]]},
+    {"conductor": 1, "coeffs": [["1", " 1"]]},
+    {"conductor": True, "coeffs": [["1", "1"]]},
+    {"conductor": 1.0, "coeffs": [["1", "1"]]},
+], ids=["float-numerator", "bool-numerator", "padded-denominator",
+        "bool-conductor", "float-conductor"])
+def test_doc_rejects_scalars_that_are_not_written_exactly(tmp_path, capsys,
+                                                          value):
+    """Each of these reads as the scalar 1 under int(); none is the to_json
+    form of a scalar, so the document is refused at its path."""
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(_scalar_doc(value)))
+    assert main(["decide", str(doc_path), "--a", "A", "--b", "A"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: $.presentations.A: " in err
+
+
+@pytest.mark.parametrize("coeff", [
+    {"conductor": 1, "coeffs": [[1.5, "1"]]},
+    {"conductor": 1, "coeffs": [["1", True]]},
+    {"conductor": 4.7, "coeffs": [["1", "1"], ["0", "1"]]},
+], ids=["float-numerator", "bool-denominator", "float-conductor"])
+def test_verify_rejects_scalars_that_are_not_written_exactly(tmp_path, capsys,
+                                                             coeff):
+    """A report whose identity-map coefficient was edited to a value that
+    int() would truncate is refused, not certified as the map it does not
+    carry."""
+    image = {"key": [0, 0, 0], "terms": [{"key": [0, 0, 0], "coeff": coeff}]}
+    report = {**_STRAY_IMAGE, "hom": {"images": [image]}}
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: $.hom.images[0]: " in err
+
+
 _KLEIN = str(FIXTURES / "klein_twisted.json")
 
 

@@ -1,18 +1,25 @@
 """Embedding decisions, certified constructions and route consistency."""
 
+import hashlib
+import json
 import random
 from pathlib import Path
 
 import pytest
 
+from gradalg import embed
 from gradalg.cli import parse_doc
-from gradalg.cocycles import Cocycle, enumerate_cocycle_classes
+from gradalg.cocycles import (Cocycle, enumerate_cocycle_classes,
+                              random_coboundary, smallest_irrep)
+from gradalg.corpus import generate_corpus
 from gradalg.embed import (construct, decide, decide_part1, decide_part2,
                            transversal_action)
 from gradalg.errors import (DecisionFalse, ElementOutsideGroup,
-                            MismatchedParent, NonAbelianUnsupported)
+                            MismatchedParent, NonAbelianUnsupported,
+                            NotSameCoset)
 from gradalg.galg import GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
+from gradalg.scalars import CyclotomicScalar as C
 from gradalg.tuples import CosetMultiset, exists_shift, subsume_mod
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -66,6 +73,82 @@ def test_part2_transversal_construction(z4):
     hom = construct(a, b, decision)
     assert verify_hom(hom).is_embedding
     assert decide_part2(a, b).verdict
+
+
+def test_rho_map_certifies_on_every_subgroup_pair(klein, z4):
+    """The direct map (h,0,0) -> sum_{u,v} rho(h)[u][v] (h,u,v) from
+    (H, alpha, (e)) into (N, beta, (e)^d), over Z2xZ2 and Z4, for every
+    subgroup H of every subgroup N and every cocycle class on each."""
+    checked = 0
+    for group in (klein, z4):
+        subgroups = group.all_subgroups()
+        for n in subgroups:
+            for h in subgroups:
+                if not n.contains_subgroup(h):
+                    continue
+                for alpha in enumerate_cocycle_classes(h):
+                    x = GradedPresentation(group, h, alpha,
+                                           GTuple.const(group, 1))
+                    for beta in enumerate_cocycle_classes(n):
+                        d = smallest_irrep(alpha.ratio(beta.restrict(h))).dim
+                        y = GradedPresentation(group, n, beta,
+                                               GTuple.const(group, d))
+                        assert decide(x, y).verdict
+                        assert verify_hom(embed._rho_map(x, y)).is_embedding
+                        checked += 1
+    assert checked == 25
+
+
+def test_replaced_representatives_construct_and_certify(z4, klein,
+                                                        klein_classes):
+    """Targets whose matched entry differs from the pattern entry within its
+    coset, s_1 = h_1 * e: the table moves (e,0,1) onto (h_1^-1,0,1), and the
+    map certifies, with a trivial and with a twisted cocycle."""
+    h = z4.subgroup([0, 2])
+    full = klein.full_subgroup()
+    _, nt = klein_classes
+    cases = [
+        (GradedPresentation(z4, h, Cocycle.trivial(h), GTuple(z4, [0, 0])),
+         GradedPresentation(z4, h, Cocycle.trivial(h), GTuple(z4, [0, 2])),
+         2),
+        (GradedPresentation(klein, full, nt, GTuple(klein, [0, 0])),
+         GradedPresentation(klein, full, nt, GTuple(klein, [0, 3])), 3),
+    ]
+    for a, b, h_1 in cases:
+        hom = construct(a, b, decide(a, b))
+        assert hom.certificate.is_embedding
+        e = a.group.identity
+        assert set(hom.images[(e, 0, 1)].terms) == {(a.group.inv(h_1), 0, 1)}
+
+
+def test_factors_of_higher_order_are_divided_out(z4):
+    """Over Z4, a source cocycle whose transversal rescaling c takes a value
+    of order 8, into a target with N2 = {0, 2} whose cocycle takes a value
+    of order 4 and whose two tuple entries are both replaced: the map
+    certifies only if c(n) and the replacement factors are divided out,
+    since neither squares to 1."""
+    zeta8 = C.zeta(8)
+    full, half = z4.full_subgroup(), z4.subgroup([0, 2])
+    alpha = Cocycle.trivial(full).twist_by_coboundary(
+        {0: C.one(), 1: zeta8, 2: C.one(), 3: C.one()})
+    beta = Cocycle.trivial(half).twist_by_coboundary({0: C.one(), 2: zeta8})
+    assert alpha.values[(2, 1)] == zeta8 and beta.values[(2, 2)] == C.zeta(4)
+    a = GradedPresentation(z4, full, alpha, GTuple(z4, [0]))
+    b = GradedPresentation(z4, half, beta, GTuple(z4, [2, 3]))
+    decision = decide(a, b)
+    assert decision.pattern.entries == (0, 1)
+    assert construct(a, b, decision).certificate.is_embedding
+
+
+def test_placement_rejects_entries_of_another_coset(z4, monkeypatch):
+    """A matching that pairs a pattern entry with a tuple entry of another
+    coset is refused rather than placed."""
+    h = z4.subgroup([0, 2])
+    b = GradedPresentation(z4, h, Cocycle.trivial(h), GTuple(z4, [0, 1]))
+    monkeypatch.setattr(embed, "_match_pattern_positions",
+                        lambda target, pattern, modulo: [1])
+    with pytest.raises(NotSameCoset):
+        embed._placement(b, 0, GTuple(z4, [0]), h)
 
 
 def test_transversal_action_examples(z4):
@@ -330,3 +413,64 @@ def test_decisions_share_their_subgroups():
     assert first.h_sub is a.group.closure(first.h_sub.members)
     assert not hasattr(first, "__dict__")
     assert first.to_json() == second.to_json()
+
+
+def test_constructed_maps_are_byte_identical():
+    """The JSON of every constructed map is pinned by one digest: the true
+    instances of a fixed corpus in corpus order, then two fixture maps.
+    Coefficient conductors are part of that JSON, so this also pins them."""
+    pairs = [(inst.a, inst.b)
+             for inst in generate_corpus(20250809, 6, 220)]
+    for fixture, target in [("dihedral_regular", "Breg"),
+                            ("klein_twisted", "B2")]:
+        doc = parse_doc((FIXTURES / f"{fixture}.json").read_text())
+        pairs.append((doc.presentations["A"], doc.presentations[target]))
+    maps = []
+    for a, b in pairs:
+        decision = decide(a, b)
+        if decision.verdict:
+            maps.append(construct(a, b, decision).to_json())
+    assert len(maps) == 111
+    text = json.dumps(maps, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "2039933af05ffdf9e0d381027fb68031ba5f0a74c88fe5d0dc9903a15ca886cc"
+
+
+def _twisted_presentation(rng, group, classes):
+    """A random presentation whose cocycle is a class representative times a
+    random coboundary, with about half its values restated at a multiple of
+    their conductor; `classes` maps each subgroup to its class
+    representatives."""
+    h = rng.choice(list(classes))
+    alpha = rng.choice(classes[h])
+    alpha = alpha.twist_by_coboundary(random_coboundary(h, rng))
+    m = rng.choice([1, 2])
+    alpha = Cocycle(h, {k: v.rebase(v.conductor * m) if rng.random() < 0.5
+                        else v for k, v in alpha.values.items()})
+    s = GTuple(group, [rng.randrange(group.order)
+                       for _ in range(rng.randrange(1, 5))])
+    return GradedPresentation(group, h, alpha, s)
+
+
+def test_twisted_cocycle_maps_are_byte_identical():
+    """As above, on presentations over Z4, Z6 and Z2xZ2 whose cocycle values
+    are not all +-1 and carry assorted conductors: there the replacement
+    factors, c(n)^-1 and the order in which cocycle entries are multiplied
+    all show in the coefficients or their conductors."""
+    rng = random.Random(20250809)
+    groups = [FiniteGroup.cyclic(4), FiniteGroup.cyclic(6),
+              FiniteGroup.product([FiniteGroup.cyclic(2)] * 2)]
+    classes = [{h: enumerate_cocycle_classes(h) for h in g.all_subgroups()}
+               for g in groups]
+    maps = []
+    for k in range(120):
+        group, cls = groups[k % 3], classes[k % 3]
+        a = _twisted_presentation(rng, group, cls)
+        b = _twisted_presentation(rng, group, cls)
+        decision = decide(a, b)
+        if decision.verdict:
+            maps.append(construct(a, b, decision).to_json())
+    text = json.dumps(maps, sort_keys=True, separators=(",", ":"))
+    assert len(maps) == 39
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "e587799e69fdbf297096f2dd734364f14f0f09b01ac35479bf56ea9f1eaa3a8d"

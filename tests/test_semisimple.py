@@ -2,13 +2,11 @@
 
 import pytest
 
-from gradalg.embed import construct, decide
 from gradalg.errors import NoMatch
-from gradalg.galg import GradedPresentation, verify_hom
+from gradalg.galg import GradedPresentation
 from gradalg.groups import FiniteGroup, GTuple
 from gradalg.semisimple import (SemisimplePresentation, embed_into_power,
-                                match_components, match_permutation,
-                                minimal_set, pair_inclusion)
+                                match_components, minimal_set, pair_inclusion)
 
 Z1 = FiniteGroup.cyclic(1)
 
@@ -62,23 +60,6 @@ def test_match_components(block_example):
     # a component with no admissible target is reported as unmatched
     other = SemisimplePresentation([a2])
     assert match_components(SemisimplePresentation([b]), other) == [None]
-
-
-def test_match_permutation_certifies(block_example):
-    _, a1, a2, _ = block_example
-    x = SemisimplePresentation([a1, a2])
-    y = SemisimplePresentation([a2, a1])
-    tau = match_permutation(x, y)
-    assert tau == [1, 0]
-    for i, j in enumerate(tau):
-        # mutual inclusions give certified isomorphisms componentwise
-        fwd = construct(x.components[i], y.components[j],
-                        decide(x.components[i], y.components[j]))
-        bwd = construct(y.components[j], x.components[i],
-                        decide(y.components[j], x.components[i]))
-        assert verify_hom(fwd).is_embedding
-        assert verify_hom(bwd).is_embedding
-        assert x.components[i].dim == y.components[j].dim
 
 
 def test_embed_into_power_block_example(block_example):
