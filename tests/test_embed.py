@@ -99,28 +99,6 @@ def test_rho_map_certifies_on_every_subgroup_pair(klein, z4):
     assert checked == 25
 
 
-def test_replaced_representatives_construct_and_certify(z4, klein,
-                                                        klein_classes):
-    """Targets whose matched entry differs from the pattern entry within its
-    coset, s_1 = h_1 * e: the table moves (e,0,1) onto (h_1^-1,0,1), and the
-    map certifies, with a trivial and with a twisted cocycle."""
-    h = z4.subgroup([0, 2])
-    full = klein.full_subgroup()
-    _, nt = klein_classes
-    cases = [
-        (GradedPresentation(z4, h, Cocycle.trivial(h), GTuple(z4, [0, 0])),
-         GradedPresentation(z4, h, Cocycle.trivial(h), GTuple(z4, [0, 2])),
-         2),
-        (GradedPresentation(klein, full, nt, GTuple(klein, [0, 0])),
-         GradedPresentation(klein, full, nt, GTuple(klein, [0, 3])), 3),
-    ]
-    for a, b, h_1 in cases:
-        hom = construct(a, b, decide(a, b))
-        assert hom.certificate.is_embedding
-        e = a.group.identity
-        assert set(hom.images[(e, 0, 1)].terms) == {(a.group.inv(h_1), 0, 1)}
-
-
 def test_factors_of_higher_order_are_divided_out(z4):
     """Over Z4, a source cocycle whose transversal rescaling c takes a value
     of order 8, into a target with N2 = {0, 2} whose cocycle takes a value

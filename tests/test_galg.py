@@ -83,6 +83,32 @@ def test_zero_map_certificate(klein, klein_classes):
     assert cert.graded and cert.multiplicative and not cert.injective
 
 
+def _replaced_pair_certifies(p, q, h_1):
+    """p and q differ only in tuple entry 1, s_1(q) = h_1 * s_1(p) in the
+    same coset: construct maps each into the other, and the map from p moves
+    (e,0,1) onto (h_1^-1,0,1)."""
+    hom = construct(p, q, decide(p, q))
+    assert hom.certificate.is_embedding
+    e = p.group.identity
+    assert set(hom.images[(e, 0, 1)].terms) == {(p.group.inv(h_1), 0, 1)}
+    assert construct(q, p, decide(q, p)).certificate.is_embedding
+
+
+def test_replace_representative(z4):
+    h = z4.subgroup([0, 2])
+    p = GradedPresentation(z4, h, Cocycle.trivial(h), GTuple(z4, [0, 0]))
+    q = GradedPresentation(z4, h, Cocycle.trivial(h), GTuple(z4, [0, 2]))
+    _replaced_pair_certifies(p, q, 2)
+
+
+def test_replace_representative_twisted(klein, klein_classes):
+    _, nt = klein_classes
+    full = klein.full_subgroup()
+    p = GradedPresentation(klein, full, nt, GTuple(klein, [0, 0]))
+    q = GradedPresentation(klein, full, nt, GTuple(klein, [0, 3]))
+    _replaced_pair_certifies(p, q, 3)
+
+
 def test_homogeneous_invertibility(klein, klein_classes):
     _, nt = klein_classes
     ka = GradedPresentation.twisted_group_algebra(nt)
