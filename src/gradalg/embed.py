@@ -34,13 +34,19 @@ ONE = CyclotomicScalar.one()
 
 
 class EmbedDecision:
-    """Verdict plus the data that reproduces it."""
+    """Verdict plus the data that reproduces it.
+
+    The pattern tuple is rebuilt from the source tuple on each read, not
+    kept: a decision then holds only objects its inputs already hold (the
+    interned subgroups, the transversal remembered on the subgroup, the
+    source presentation's tuple) besides its verdict and numbers.
+    """
 
     __slots__ = ("verdict", "case", "h_sub", "d", "g_prime", "transversal",
-                 "pattern", "shift")
+                 "source", "shift")
 
     def __init__(self, verdict: bool, case: str, h_sub: Subgroup, d: int,
-                 g_prime: Subgroup, transversal: GTuple, pattern: GTuple,
+                 g_prime: Subgroup, transversal: GTuple, source: GTuple,
                  shift: int | None):
         self.verdict = verdict
         self.case = case
@@ -48,15 +54,30 @@ class EmbedDecision:
         self.d = d
         self.g_prime = g_prime
         self.transversal = transversal
-        self.pattern = pattern
+        self.source = source
         self.shift = shift
 
+    @property
+    def pattern(self) -> GTuple:
+        """The tuple that a shift of the target tuple must dominate
+        coset-wise: d copies of the transversal times the source tuple
+        (part2 takes the source before the transversal), or, for an
+        elementary target, the listed subgroup times the source tuple."""
+        if self.case == "elementary_nonabelian":
+            return self.transversal.product(self.source)
+        block = GTuple.const(self.source.group, self.d)
+        if self.case == "part2":
+            return block.product(self.source).product(self.transversal)
+        return block.product(self.transversal).product(self.source)
+
     def to_json(self):
+        # tuples the decision's objects already hold, where they exist;
+        # json writes them as lists
         return {"verdict": self.verdict, "case": self.case,
-                "H": sorted(self.h_sub.members), "d": self.d,
-                "G_prime": sorted(self.g_prime.members),
-                "transversal": list(self.transversal.entries),
-                "pattern": list(self.pattern.entries),
+                "H": self.h_sub.sorted_members, "d": self.d,
+                "G_prime": self.g_prime.sorted_members,
+                "transversal": self.transversal.entries,
+                "pattern": self.pattern.entries,
                 "shift": self.shift}
 
     def __repr__(self):
@@ -91,7 +112,7 @@ def _decide_abelian(a: GradedPresentation, b: GradedPresentation) -> EmbedDecisi
     pattern = GTuple.const(group, d).product(transversal).product(a.s)
     shift = exists_shift(b.s, pattern, b.H)
     return EmbedDecision(shift is not None, "part23", h_sub, d, g_prime,
-                         transversal, pattern, shift)
+                         transversal, a.s, shift)
 
 
 def _decide_elementary(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
@@ -101,7 +122,7 @@ def _decide_elementary(a: GradedPresentation, b: GradedPresentation) -> EmbedDec
     trivial = group.trivial_subgroup()
     shift = exists_shift(b.s, pattern, trivial)
     return EmbedDecision(shift is not None, "elementary_nonabelian", a.H,
-                         a.H.order, a.H, h_bar, pattern, shift)
+                         a.H.order, a.H, h_bar, a.s, shift)
 
 
 def decide_part1(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
@@ -117,9 +138,8 @@ def decide_part1(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
     d = smallest_irrep(gamma).dim
     verdict = b.r >= d * a.r
     full = group.full_subgroup()
-    pattern = GTuple.const(group, d).product(a.s)
     return EmbedDecision(verdict, "part1", a.H, d, full,
-                         GTuple(group, [group.identity]), pattern,
+                         GTuple(group, [group.identity]), a.s,
                          group.identity if verdict else None)
 
 
@@ -142,7 +162,7 @@ def decide_part2(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
     pattern = GTuple.const(group, d).product(a.s).product(transversal)
     verdict = subsume_mod(b.s, pattern, b.H)
     return EmbedDecision(verdict, "part2", h_sub, d, g_prime, transversal,
-                         pattern, group.identity if verdict else None)
+                         a.s, group.identity if verdict else None)
 
 
 # -- construction ----------------------------------------------------------------

@@ -244,6 +244,8 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup of a FiniteGroup, stored as its member set."""
 
+    _transversals: dict | None = None   # within -> GTuple, made on first use
+
     def __init__(self, parent: FiniteGroup, elements, _validate: bool = True):
         self.parent = parent
         self.members = frozenset(int(x) for x in elements)
@@ -345,9 +347,18 @@ class Subgroup:
         return cosets
 
     def transversal(self, within: Subgroup | None = None) -> GTuple:
-        """Canonical transversal: minimal representative of each right coset."""
-        reps = [c[0] for c in self.right_cosets(within)]
-        return GTuple(self.parent, reps)
+        """Canonical transversal: minimal representative of each right coset.
+
+        Remembered per `within`: a GTuple is immutable, and a derived
+        subgroup is interned on its group, so each decision over the same
+        pair of subgroups shares one tuple."""
+        if self._transversals is None:
+            self._transversals = {}
+        tr = self._transversals.get(within)
+        if tr is None:
+            tr = GTuple(self.parent, [c[0] for c in self.right_cosets(within)])
+            self._transversals[within] = tr
+        return tr
 
 
 class GTuple:

@@ -477,7 +477,11 @@ def _freeze_projective(element: AlgebraElement):
     (rescaling never changes whether later products vanish)."""
     items = sorted(element.terms.items(), key=lambda kv: str(kv[0]))
     inv = items[0][1].inverse()
-    return tuple((k, (v * inv).conductor, (v * inv).coeffs) for k, v in items)
+    frozen = []
+    for k, v in items:
+        x = v * inv
+        frozen.append((k, x.conductor, x.num, x.den))
+    return tuple(frozen)
 
 
 class ProductPoly:

@@ -1,21 +1,45 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-A scalar is a coordinate vector over the power basis 1, z, ..., z^(phi(m)-1)
-of Q(zeta_m), with exact rational entries, always reduced modulo the m-th
-cyclotomic polynomial.  Scalars with different conductors compare and combine
-by rebasing both to the lcm conductor.
+A scalar of conductor m is a coordinate vector over the power basis
+1, z, ..., z^(phi(m)-1) of Q(zeta_m), always reduced modulo the m-th
+cyclotomic polynomial Phi_m.  It is stored as `num`, a tuple of phi(m) int
+numerators, over `den`, one positive int: coordinate i is num[i] / den (the
+standard representation of number-field elements; Cohen, A Course in
+Computational Algebraic Number Theory, 1993, section 4.2).  Scalars with
+different conductors compare and combine by rebasing both to the lcm
+conductor; a result keeps that conductor unreduced.
 
-Conductor 1 is the field Q(zeta_1) = Q itself: phi(1) = 1 and the power basis
-is the single element 1, so a scalar there is one rational.  When both
-operands have conductor 1, products, sums, negatives and inverses are the
-rational operations on that one Fraction, with no convolution or reduction
-(modulo Phi_1 = x - 1 a constant is already reduced).  The only roots of unity
-in Q are 1 and -1, so at conductor 1 as_root_of_unity answers (2, 0), (2, 1)
-or None, exactly what the scan over the powers of zeta_2 gives.
+Canonical form: den > 0 and gcd(den, num[0], ..., num[phi-1]) = 1, so zero
+is all-zero numerators over 1.  Then den is the least common denominator of
+the coordinates.  The coordinates of a field element in the power basis are
+unique, and so is the least common denominator of a rational vector, so each
+element has exactly one (num, den) at a given conductor: equality at a
+common conductor is componentwise comparison of num and den, and it is
+exact.
 
-Results computed here are built by _exact from a tuple that is already a
-reduced vector of Fractions of length phi(conductor); only the public
-constructor coerces its entries and checks the length.
+Phi_m is monic with integer coefficients, so reducing an integer vector
+modulo it (through the integer _power_table, or by long division) keeps it
+integral.  A product is therefore the integer convolution of the numerators,
+reduced, over the product of the denominators, and a sum cross-multiplies;
+only a result whose denominator is not 1 pays one gcd to return to canonical
+form.  Every root of unity, and so every cocycle value, has integer
+coordinates and denominator 1.  Rebasing keeps the form canonical: Z[zeta_m]
+is a direct summand of Z[zeta_M] as a Z-module (Z[zeta_M] is free over it on
+powers of zeta_M starting at 1), so a prime that divides every coordinate at
+conductor M divides every coordinate at conductor m.
+
+Conductors 1 and 2 have phi = 1: the field is Q and a scalar is one rational
+num[0] / den, so products, sums and inverses there are single int
+operations.  The only roots of unity in Q are 1 and -1, so at conductor 1
+as_root_of_unity answers (2, 0), (2, 1) or None, exactly what the scan over
+the powers of zeta_2 gives.
+
+`coeffs` is a read-only view of the coordinates as Fractions, for tests and
+display; inverse outside Q runs extended Euclid over Fractions and returns
+to this form.  Results computed here are built by _exact or _canon from
+numerators already reduced; only the public constructor checks its input,
+and it takes int (not bool) and Fraction coordinates alone, since a float or
+a string would bring in a value that was never exact.
 """
 
 from __future__ import annotations
@@ -23,7 +47,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConductorNotMultiple, DivisionByZero, NotRootOfUnity
 
@@ -94,52 +118,85 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce(m: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _folds(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of _power_table(m) for x^phi .. x^(2*phi-2), each kept as
+    its (index, nonzero coefficient) pairs: what a convolution's high
+    entries add to the low ones."""
     phi = euler_phi(m)
-    if len(coeffs) > 2 * phi - 1:
-        # long division by the monic cyclotomic polynomial
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c)
+                 for row in _power_table(m)[phi:])
+
+
+def _reduce(m: int, coeffs) -> tuple:
+    """The vector sum_k coeffs[k] z^k reduced modulo Phi_m, as a tuple of
+    length phi(m), by long division.  Phi_m is monic with integer
+    coefficients, so int entries stay int and Fraction entries Fraction."""
+    phi = euler_phi(m)
+    coeffs = list(coeffs)
+    if len(coeffs) > phi:
         poly = cyclotomic_polynomial(m)
-        coeffs = list(coeffs)
         for k in range(len(coeffs) - 1, phi - 1, -1):
             c = coeffs[k]
             if c:
                 for i in range(phi + 1):
                     coeffs[k - phi + i] -= c * poly[i]
-        coeffs = coeffs[:phi] + [_ZERO] * (phi - len(coeffs))
-        return tuple(coeffs)
-    table = _power_table(m)
-    out = [_ZERO] * phi
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        row = table[k]
-        for i in range(phi):
-            if row[i]:
-                out[i] += c * row[i]
+    return tuple(coeffs[:phi] + [0] * (phi - len(coeffs)))
+
+
+def _mul_reduced(m: int, x: tuple, y: tuple) -> tuple:
+    """The numerators of x * y at conductor m: the integer convolution,
+    folded back through the power table (one int product when phi = 1)."""
+    n = len(x)
+    if n == 1:
+        return (x[0] * y[0],)
+    conv = [0] * (2 * n - 1)
+    for i, p in enumerate(x):
+        if p:
+            for j, q in enumerate(y):
+                if q:
+                    conv[i + j] += p * q
+    out = conv[:n]
+    for k, row in enumerate(_folds(m), n):
+        c = conv[k]
+        if c:
+            for i, r in row:
+                out[i] += c * r
     return tuple(out)
 
 
 class CyclotomicScalar:
-    """An exact element of Q(zeta_m)."""
+    """An exact element of Q(zeta_m): int numerators `num` over one
+    positive int `den`, in canonical form (see the module docstring)."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(_rational(c) for c in coeffs)
         if len(coeffs) != euler_phi(conductor):
             raise ValueError("coefficient vector length must be phi(conductor)")
+        den = lcm(*(c.denominator for c in coeffs))
+        num = tuple([c.numerator * (den // c.denominator) for c in coeffs])
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("CyclotomicScalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions (a read-only view)."""
+        den = self.den
+        return tuple([Fraction(n, den) for n in self.num])
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> CyclotomicScalar:
-        return _exact(conductor, (Fraction(value),)
-                      + (_ZERO,) * (euler_phi(conductor) - 1))
+        value = _rational(value)
+        return _exact(conductor, (value.numerator,)
+                      + (0,) * (euler_phi(conductor) - 1), value.denominator)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> CyclotomicScalar:
@@ -152,20 +209,16 @@ class CyclotomicScalar:
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> CyclotomicScalar:
         """zeta_m^k, stored at conductor m."""
-        k %= m
-        if m == 1:
-            return cls.one(1)
-        coeffs = [_ZERO] * m
-        coeffs[k] = _ONE
-        return _exact(m, _reduce(m, coeffs))
+        return _exact(m, _unity_power_coeffs(m)[k % m], 1)
 
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        num = self.num
+        return self.den == 1 and num[0] == 1 and not any(num[1:])
 
     def rebase(self, conductor: int) -> CyclotomicScalar:
         """The same field element expressed at a larger conductor."""
@@ -174,11 +227,13 @@ class CyclotomicScalar:
         if conductor % self.conductor != 0:
             raise ConductorNotMultiple(
                 f"{self.conductor} does not divide {conductor}")
+        num = self.num
         step = conductor // self.conductor
-        coeffs = [_ZERO] * (step * (len(self.coeffs) - 1) + 1)
-        for k, c in enumerate(self.coeffs):
-            coeffs[k * step] = c
-        return _exact(conductor, _reduce(conductor, coeffs))
+        spread = [0] * (step * (len(num) - 1) + 1)
+        for k, c in enumerate(num):
+            spread[k * step] = c
+        # canonical still: see the direct-summand argument in the docstring
+        return _exact(conductor, _reduce(conductor, spread), self.den)
 
     def _common(self, other: CyclotomicScalar):
         if self.conductor == other.conductor:
@@ -193,16 +248,17 @@ class CyclotomicScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return _exact(1, (self.coeffs[0] + other.coeffs[0],))
         a, b = self._common(other)
-        return _exact(a.conductor,
-                      tuple([x + y for x, y in zip(a.coeffs, b.coeffs)]))
+        da, db = a.den, b.den
+        if da == db:
+            return _canon(a.conductor, [p + q for p, q in zip(a.num, b.num)], da)
+        return _canon(a.conductor,
+                      [p * db + q * da for p, q in zip(a.num, b.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _exact(self.conductor, tuple([-c for c in self.coeffs]))
+        return _exact(self.conductor, tuple([-n for n in self.num]), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -221,30 +277,22 @@ class CyclotomicScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return _exact(1, (self.coeffs[0] * other.coeffs[0],))
         a, b = self._common(other)
-        n = len(a.coeffs)
-        conv = [_ZERO] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    conv[i + j] += x * y
-        return _exact(a.conductor, _reduce(a.conductor, conv))
+        m = a.conductor
+        return _canon(m, _mul_reduced(m, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CyclotomicScalar:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        m = self.conductor
-        if m == 1:
-            return _exact(1, (1 / self.coeffs[0],))
+        m, num, den = self.conductor, self.num, self.den
+        if len(num) == 1:
+            n = num[0]
+            return _exact(m, (den,), n) if n > 0 else _exact(m, (-den,), -n)
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(m)]
         # extended Euclid in Q[x]: s*a + t*Phi = gcd, gcd constant
-        r0, r1 = phi_poly, list(self.coeffs)
+        r0, r1 = phi_poly, [Fraction(n) for n in num]
         s0, s1 = [_ZERO], [_ONE]
         while any(r1):
             q, r = _poly_divmod(r0, r1)
@@ -252,10 +300,9 @@ class CyclotomicScalar:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if len(_poly_trim(r0)) != 1:
             raise DivisionByZero("element is not invertible")
-        c = r0[0]
-        inv = [x / c for x in s0]
-        inv += [_ZERO] * (euler_phi(m) - len(inv))
-        return _exact(m, _reduce(m, inv))
+        # (num / den)^-1 = den * s0 / r0[0]
+        c = den / r0[0]
+        return CyclotomicScalar(m, _reduce(m, [x * c for x in s0]))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -287,10 +334,8 @@ class CyclotomicScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # cross-conductor equality makes hashing unsafe
 
@@ -303,17 +348,20 @@ class CyclotomicScalar:
         """Return (M, k) with self == zeta_M^k, or None.
 
         Every root of unity in Q(zeta_m) is a power of zeta_M for
-        M = lcm(2, m), so scanning those powers is a complete test.  At
-        m = 1 the powers of zeta_2 are 1 and -1, compared directly.
+        M = lcm(2, m), so scanning those powers is a complete test.  Each
+        has integer coordinates, so a denominator other than 1 rules it out.
+        At m = 1 the powers of zeta_2 are 1 and -1, compared directly.
         """
+        if self.den != 1:
+            return None
         m = self.conductor
         if m == 1:
-            c = self.coeffs[0]
+            c = self.num[0]
             return (2, 0) if c == 1 else (2, 1) if c == -1 else None
         M = m if m % 2 == 0 else 2 * m
-        a = self.rebase(M)
-        for k, coeffs in enumerate(_unity_power_coeffs(M)):
-            if a.coeffs == coeffs:
+        num = self.rebase(M).num
+        for k, row in enumerate(_unity_power_coeffs(M)):
+            if num == row:
                 return M, k
         return None
 
@@ -338,9 +386,14 @@ class CyclotomicScalar:
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
-        return {"conductor": self.conductor,
-                "coeffs": [[str(c.numerator), str(c.denominator)]
-                           for c in self.coeffs]}
+        """Each coordinate as its reduced [numerator, denominator] pair of
+        decimal strings; the conductor as stored, unreduced."""
+        den = self.den
+        coeffs = []
+        for n in self.num:
+            g = gcd(n, den)
+            coeffs.append([str(n // g), str(den // g)])
+        return {"conductor": self.conductor, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, data) -> CyclotomicScalar:
@@ -358,27 +411,46 @@ class CyclotomicScalar:
 
 _new_scalar = object.__new__
 _set_conductor = CyclotomicScalar.conductor.__set__
-_set_coeffs = CyclotomicScalar.coeffs.__set__
+_set_num = CyclotomicScalar.num.__set__
+_set_den = CyclotomicScalar.den.__set__
 
 
-def _exact(conductor: int, coeffs: tuple) -> CyclotomicScalar:
-    """A scalar from a reduced tuple of Fractions of length phi(conductor),
-    taken as it is: the coercion and length check of __init__ are for
-    outside input."""
+def _exact(conductor: int, num: tuple, den: int) -> CyclotomicScalar:
+    """A scalar from numerators and a denominator already in canonical form
+    and reduced modulo Phi_conductor, taken as they are: the checks of
+    __init__ are for outside input."""
     x = _new_scalar(CyclotomicScalar)
     _set_conductor(x, conductor)
-    _set_coeffs(x, coeffs)
+    _set_num(x, num)
+    _set_den(x, den)
     return x
 
 
+def _canon(conductor: int, num, den: int) -> CyclotomicScalar:
+    """A scalar from reduced int numerators over a positive denominator,
+    divided through by their common gcd (none is needed over 1)."""
+    if den == 1:
+        return _exact(conductor, tuple(num), 1)
+    g = gcd(den, *num)
+    if g != 1:
+        return _exact(conductor, tuple([n // g for n in num]), den // g)
+    return _exact(conductor, tuple(num), den)
+
+
 @lru_cache(maxsize=None)
-def _unity_power_coeffs(M: int) -> tuple[tuple[Fraction, ...], ...]:
-    z = CyclotomicScalar.zeta(M)
-    acc = CyclotomicScalar.one(M)
-    rows = [acc.coeffs]
-    for _ in range(M - 1):
-        acc = acc * z
-        rows.append(acc.coeffs)
+def _unity_power_coeffs(M: int) -> tuple[tuple[int, ...], ...]:
+    """The numerators of zeta_M^k at conductor M, for k = 0 .. M-1; each
+    has denominator 1 (multiplying by z and reducing by the monic Phi_M
+    keeps integers)."""
+    phi = euler_phi(M)
+    poly = cyclotomic_polynomial(M)
+    row = (1,) + (0,) * (phi - 1)
+    rows = []
+    for _ in range(M):
+        rows.append(row)
+        shifted = (0,) + row
+        lead = shifted[phi]
+        row = tuple([shifted[i] - lead * poly[i] for i in range(phi)])
     return tuple(rows)
 
 
@@ -391,10 +463,19 @@ def _decimal(text) -> int:
     return int(text)
 
 
+def _rational(value):
+    """value itself if it is an int (not a bool) or a Fraction; TypeError
+    otherwise, since a float, bool or string was never an exact rational."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError("a scalar coordinate must be an int or a Fraction, "
+                        f"not {type(value).__name__}")
+    return value
+
+
 def _coerce(value):
     if isinstance(value, CyclotomicScalar):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return CyclotomicScalar.from_rational(value)
     return NotImplemented
 

@@ -452,3 +452,52 @@ def test_twisted_cocycle_maps_are_byte_identical():
     assert len(maps) == 39
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "e587799e69fdbf297096f2dd734364f14f0f09b01ac35479bf56ea9f1eaa3a8d"
+
+
+def test_decisions_share_their_tuples():
+    """A decision keeps the transversal remembered on the target subgroup
+    and the source presentation's own tuple; its JSON lists are the tuples
+    those objects hold."""
+    doc = parse_doc((FIXTURES / "klein_twisted.json").read_text())
+    a, b = doc.presentations["A"], doc.presentations["B2"]
+    first, second = decide(a, b), decide(a, b)
+    assert first.transversal is second.transversal
+    assert first.transversal is b.H.transversal(within=first.g_prime)
+    assert first.source is a.s
+    data = first.to_json()
+    assert data["H"] is first.h_sub.sorted_members
+    assert data["transversal"] is first.transversal.entries
+    assert json.dumps(data) == json.dumps(
+        {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()})
+
+
+def test_patterns_match_their_defining_products():
+    """The pattern each decision rebuilds on read is the tuple its decide
+    routine defines: d copies of the transversal times the source tuple
+    (part2 takes the source first), or the listed subgroup times the source
+    tuple for an elementary target."""
+    cases = []
+    for inst in generate_corpus(20250809, 6, 80):
+        a, b, group = inst.a, inst.b, inst.a.group
+        cases.append((a, decide(a, b)))
+        if b.H.order == group.order:
+            cases.append((a, decide_part1(a, b)))
+        if (all(x in b.H.members for x in a.s)
+                and all(x in a.H.members for x in b.s)):
+            cases.append((a, decide_part2(a, b)))
+    doc = parse_doc((FIXTURES / "dihedral_regular.json").read_text())
+    a = doc.presentations["A"]
+    cases.append((a, decide(a, doc.presentations["Breg"])))
+    assert {dec.case for _, dec in cases} == {
+        "part23", "part1", "part2", "elementary_nonabelian"}
+    for a, dec in cases:
+        group = a.group
+        block = GTuple.const(group, dec.d)
+        expected = {
+            "part23": block.product(dec.transversal).product(a.s),
+            "part1": block.product(a.s),
+            "part2": block.product(a.s).product(dec.transversal),
+            "elementary_nonabelian":
+                GTuple(group, sorted(a.H.members)).product(a.s),
+        }[dec.case]
+        assert dec.pattern == expected

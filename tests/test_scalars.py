@@ -1,6 +1,7 @@
 """Cyclotomic scalar arithmetic, rebasing and root-of-unity handling."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,8 +229,8 @@ def _exact_form(x, m):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([(1, 1), (1, 4), (4, 1), (1, 3), (3, 1), (1, 12),
-                        (12, 1)]).flatmap(
-           lambda mm: st.tuples(st.just(mm[0] * mm[1]), _scalar_at(mm[0]),
+                        (12, 1), (4, 4), (12, 12), (3, 4), (4, 6)]).flatmap(
+           lambda mm: st.tuples(st.just(lcm(mm[0], mm[1])), _scalar_at(mm[0]),
                                 _scalar_at(mm[1]))))
 def test_fast_path_matches_general_route(case):
     m, a, b = case
@@ -273,3 +274,63 @@ def test_products_match_sympy(pair):
     got = sympy.Poly({(k,): c for k, c in enumerate(prod.coeffs)}, x,
                      domain=ring)
     assert got == expected
+
+
+# -- integer numerators over one denominator ------------------------------------
+
+def _canonical(x):
+    """x is in canonical form: int numerators, one per power-basis
+    coordinate, over a positive int denominator sharing no factor with all
+    of them; zero is all-zero numerators over 1."""
+    assert type(x.num) is tuple and len(x.num) == euler_phi(x.conductor)
+    assert all(type(n) is int for n in x.num)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if x.is_zero():
+        assert x.den == 1
+    return x
+
+
+_conductors = st.sampled_from([1, 2, 3, 4, 6, 12])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_conductors.flatmap(_scalar_at), _conductors.flatmap(_scalar_at),
+       st.sampled_from([1, 2, 3]))
+def test_canonical_form_after_every_operation(a, b, k):
+    for x in (a, b, a + b, a - b, a * b, -a, a - a, a * b - b * a, a ** 2,
+              a.rebase(a.conductor * k), (a + b).rebase(12 * k),
+              C.from_json(a.to_json()), C(a.conductor, a.coeffs)):
+        _canonical(x)
+    if not b.is_zero():
+        _canonical(a / b)
+        _canonical(b.inverse())
+    assert _canonical(C(4, [0, 0])).den == 1
+    assert _canonical(C.from_rational(Fraction(0, 5), 6)).den == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_conductors.flatmap(_scalar_at))
+def test_to_json_matches_fraction_rendering(a):
+    assert a.to_json() == {
+        "conductor": a.conductor,
+        "coeffs": [[str(c.numerator), str(c.denominator)] for c in a.coeffs]}
+
+
+def test_numerators_share_one_denominator():
+    x = C(4, [Fraction(1, 6), Fraction(-3, 4)])
+    assert (x.num, x.den) == ((2, -9), 12)
+    assert x.coeffs == (Fraction(1, 6), Fraction(-3, 4))
+    assert (C.zeta(12, 5).num, C.zeta(12, 5).den) == ((0, -1, 0, 1), 1)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/3", "2", None])
+def test_constructor_rejects_inexact_input(bad):
+    with pytest.raises(TypeError):
+        C(1, [bad])
+    with pytest.raises(TypeError):
+        C(4, [bad, 2])
+    with pytest.raises(TypeError):
+        C(4, [Fraction(1, 3), bad])
+    with pytest.raises(TypeError):
+        C.from_rational(bad)
