@@ -118,16 +118,6 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _folds(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The rows of _power_table(m) for x^phi .. x^(2*phi-2), each kept as
-    its (index, nonzero coefficient) pairs: what a convolution's high
-    entries add to the low ones."""
-    phi = euler_phi(m)
-    return tuple(tuple((i, c) for i, c in enumerate(row) if c)
-                 for row in _power_table(m)[phi:])
-
-
 def _reduce(m: int, coeffs) -> tuple:
     """The vector sum_k coeffs[k] z^k reduced modulo Phi_m, as a tuple of
     length phi(m), by long division.  Phi_m is monic with integer
@@ -157,11 +147,13 @@ def _mul_reduced(m: int, x: tuple, y: tuple) -> tuple:
                 if q:
                     conv[i + j] += p * q
     out = conv[:n]
-    for k, row in enumerate(_folds(m), n):
+    table = _power_table(m)
+    for k in range(n, 2 * n - 1):
         c = conv[k]
         if c:
-            for i, r in row:
-                out[i] += c * r
+            row = table[k]
+            for i in range(n):
+                out[i] += c * row[i]
     return tuple(out)
 
 
@@ -475,9 +467,10 @@ def _rational(value):
 def _coerce(value):
     if isinstance(value, CyclotomicScalar):
         return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    try:
         return CyclotomicScalar.from_rational(value)
-    return NotImplemented
+    except TypeError:
+        return NotImplemented
 
 
 # -- rational polynomial helpers (for field inversion) -------------------------
