@@ -29,8 +29,8 @@ powers of zeta_M starting at 1), so a prime that divides every coordinate at
 conductor M divides every coordinate at conductor m.
 
 Conductors 1 and 2 have phi = 1: the field is Q and a scalar is one rational
-num[0] / den, so products, sums and inverses there are single int
-operations.  The only roots of unity in Q are 1 and -1, so at conductor 1
+num[0] / den, so the same code does plain int arithmetic there, with a
+convolution of length one and nothing to reduce.  The only roots of unity in Q are 1 and -1, so at conductor 1
 as_root_of_unity answers (2, 0), (2, 1) or None, exactly what the scan over
 the powers of zeta_2 gives.
 
