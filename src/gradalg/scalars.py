@@ -30,9 +30,9 @@ conductor M divides every coordinate at conductor m.
 
 Conductors 1 and 2 have phi = 1: the field is Q and a scalar is one rational
 num[0] / den, so the same code does plain int arithmetic there, with a
-convolution of length one and nothing to reduce.  The only roots of unity in Q are 1 and -1, so at conductor 1
-as_root_of_unity answers (2, 0), (2, 1) or None, exactly what the scan over
-the powers of zeta_2 gives.
+convolution of length one and nothing to reduce.  The only roots of unity in
+Q are 1 and -1, so at conductor 1 as_root_of_unity answers (2, 0), (2, 1) or
+None, exactly what the scan over the powers of zeta_2 gives.
 
 `coeffs` is a read-only view of the coordinates as Fractions, for tests and
 display; inverse outside Q runs extended Euclid over Fractions and returns
