@@ -90,9 +90,10 @@ def generate_corpus(seed: int, order_bound: int = 6,
         a = GradedPresentation(group, n1, alpha, s)
         if shape == "rigged":
             probe = decide(a, GradedPresentation(group, n2, beta, t))
-            if len(probe.pattern) <= MAX_TUPLE_LEN:
+            pattern = probe.pattern
+            if len(pattern) <= MAX_TUPLE_LEN:
                 g = rng.randrange(group.order)
-                entries = list(probe.pattern.shift(g).entries)
+                entries = list(pattern.shift(g).entries)
                 while len(entries) < MAX_TUPLE_LEN and rng.random() < 0.4:
                     entries.append(rng.randrange(group.order))
                 t = GTuple(group, entries)

@@ -36,10 +36,10 @@ ONE = CyclotomicScalar.one()
 class EmbedDecision:
     """Verdict plus the data that reproduces it.
 
-    The pattern tuple is rebuilt from the source tuple on each read, not
-    kept: a decision then holds only objects its inputs already hold (the
-    interned subgroups, the transversal remembered on the subgroup, the
-    source presentation's tuple) besides its verdict and numbers.
+    The pattern tuple is rebuilt by _pattern on each read, not kept: a
+    decision then holds only objects its inputs already hold (the interned
+    subgroups, the transversal remembered on the subgroup, the source
+    presentation's tuple) besides its verdict and numbers.
     """
 
     __slots__ = ("verdict", "case", "h_sub", "d", "g_prime", "transversal",
@@ -59,16 +59,7 @@ class EmbedDecision:
 
     @property
     def pattern(self) -> GTuple:
-        """The tuple that a shift of the target tuple must dominate
-        coset-wise: d copies of the transversal times the source tuple
-        (part2 takes the source before the transversal), or, for an
-        elementary target, the listed subgroup times the source tuple."""
-        if self.case == "elementary_nonabelian":
-            return self.transversal.product(self.source)
-        block = GTuple.const(self.source.group, self.d)
-        if self.case == "part2":
-            return block.product(self.source).product(self.transversal)
-        return block.product(self.transversal).product(self.source)
+        return _pattern(self.case, self.d, self.transversal, self.source)
 
     def to_json(self):
         # tuples the decision's objects already hold, where they exist;
@@ -83,6 +74,19 @@ class EmbedDecision:
     def __repr__(self):
         return (f"EmbedDecision({self.verdict}, case={self.case}, d={self.d}, "
                 f"shift={self.shift})")
+
+
+def _pattern(case: str, d: int, transversal: GTuple, source: GTuple) -> GTuple:
+    """The tuple that a shift of the target tuple must dominate coset-wise:
+    d copies of the transversal times the source tuple (part2 takes the
+    source before the transversal), or, for an elementary target, the
+    listed subgroup times the source tuple."""
+    if case == "elementary_nonabelian":
+        return transversal.product(source)
+    block = GTuple.const(source.group, d)
+    if case == "part2":
+        return block.product(source).product(transversal)
+    return block.product(transversal).product(source)
 
 
 def _check_same_ambient(a: GradedPresentation, b: GradedPresentation):
@@ -109,8 +113,7 @@ def _decide_abelian(a: GradedPresentation, b: GradedPresentation) -> EmbedDecisi
     d = smallest_irrep(gamma).dim
     g_prime = a.H.product_subgroup(b.H)
     transversal = b.H.transversal(within=g_prime)
-    pattern = GTuple.const(group, d).product(transversal).product(a.s)
-    shift = exists_shift(b.s, pattern, b.H)
+    shift = exists_shift(b.s, _pattern("part23", d, transversal, a.s), b.H)
     return EmbedDecision(shift is not None, "part23", h_sub, d, g_prime,
                          transversal, a.s, shift)
 
@@ -118,9 +121,8 @@ def _decide_abelian(a: GradedPresentation, b: GradedPresentation) -> EmbedDecisi
 def _decide_elementary(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
     group = a.group
     h_bar = GTuple(group, sorted(a.H.members))
-    pattern = h_bar.product(a.s)
-    trivial = group.trivial_subgroup()
-    shift = exists_shift(b.s, pattern, trivial)
+    pattern = _pattern("elementary_nonabelian", a.H.order, h_bar, a.s)
+    shift = exists_shift(b.s, pattern, group.trivial_subgroup())
     return EmbedDecision(shift is not None, "elementary_nonabelian", a.H,
                          a.H.order, a.H, h_bar, a.s, shift)
 
@@ -159,8 +161,7 @@ def decide_part2(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
     d = smallest_irrep(gamma).dim
     g_prime = a.H.product_subgroup(b.H)
     transversal = b.H.transversal(within=g_prime)
-    pattern = GTuple.const(group, d).product(a.s).product(transversal)
-    verdict = subsume_mod(b.s, pattern, b.H)
+    verdict = subsume_mod(b.s, _pattern("part2", d, transversal, a.s), b.H)
     return EmbedDecision(verdict, "part2", h_sub, d, g_prime, transversal,
                          a.s, group.identity if verdict else None)
 
@@ -317,8 +318,7 @@ def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
     t1_raw = h_sub.transversal(within=n1)
     t1 = GTuple(group, [group.identity if w in h_sub.members else w
                         for w in t1_raw])
-    pattern = GTuple.const(group, d).product(t1).product(a.s)
-    place = _placement(b, decision.shift, pattern, n2)
+    place = _placement(b, decision.shift, _pattern("part23", d, t1, a.s), n2)
 
     # normalize the source cocycle along the transversal: the basis
     # v_n = c(n) u_n multiplies by alpha_t, so u_n goes to c(n)^-1 times the

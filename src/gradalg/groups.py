@@ -22,6 +22,8 @@ class FiniteGroup:
         self.name = name
         self.cyclic_factors = tuple(cyclic_factors) if cyclic_factors else None
         self._subgroups: dict[frozenset, Subgroup] = {}
+        # (subgroup, within) -> GTuple, filled by Subgroup.transversal
+        self._transversals: dict[tuple, GTuple] = {}
         if _validate:
             self._validate()
         self.identity = self._find_identity()
@@ -244,8 +246,6 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup of a FiniteGroup, stored as its member set."""
 
-    _transversals: dict | None = None   # within -> GTuple, made on first use
-
     def __init__(self, parent: FiniteGroup, elements, _validate: bool = True):
         self.parent = parent
         self.members = frozenset(int(x) for x in elements)
@@ -349,15 +349,14 @@ class Subgroup:
     def transversal(self, within: Subgroup | None = None) -> GTuple:
         """Canonical transversal: minimal representative of each right coset.
 
-        Remembered per `within`: a GTuple is immutable, and a derived
-        subgroup is interned on its group, so each decision over the same
-        pair of subgroups shares one tuple."""
-        if self._transversals is None:
-            self._transversals = {}
-        tr = self._transversals.get(within)
+        Remembered on the group: a GTuple is immutable, and subgroups
+        compare by member set, so each decision over the same pair of
+        subgroups shares one tuple, whichever Subgroup objects it holds."""
+        cache = self.parent._transversals
+        tr = cache.get((self, within))
         if tr is None:
             tr = GTuple(self.parent, [c[0] for c in self.right_cosets(within)])
-            self._transversals[within] = tr
+            cache[(self, within)] = tr
         return tr
 
 

@@ -101,21 +101,23 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """x^k mod Phi_m for k = 0 .. 2*(phi-1), rows of integer coefficients."""
+    """x^k mod Phi_m for k = 0 .. max(m, 2*phi - 1) - 1, rows of integer
+    coefficients.  Rows phi and up fold a product back into the power
+    basis; row k < m holds the numerators of zeta_m^k, each over 1 (a
+    shift by x and a reduction by the monic Phi_m keep integers)."""
     phi = euler_phi(m)
     poly = cyclotomic_polynomial(m)
+    row = (1,) + (0,) * (phi - 1)
     rows = []
-    for k in range(phi):
-        row = [0] * phi
-        row[k] = 1
-        rows.append(tuple(row))
-    for k in range(phi, 2 * phi - 1):
-        prev = rows[-1]
-        shifted = [0] + list(prev)
+    for _ in range(max(m, 2 * phi - 1)):
+        rows.append(row)
+        shifted = (0,) + row
         lead = shifted[phi]
-        row = [shifted[i] - lead * poly[i] for i in range(phi)]
-        rows.append(tuple(row))
+        row = tuple([shifted[i] - lead * poly[i] for i in range(phi)])
     return tuple(rows)
+
+
+_unity_power_coeffs = _power_table   # the name the tests use for its rows
 
 
 def _reduce(m: int, coeffs) -> tuple:
@@ -201,7 +203,7 @@ class CyclotomicScalar:
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> CyclotomicScalar:
         """zeta_m^k, stored at conductor m."""
-        return _exact(m, _unity_power_coeffs(m)[k % m], 1)
+        return _exact(m, _power_table(m)[k % m], 1)
 
     # -- structure ------------------------------------------------------
 
@@ -352,8 +354,9 @@ class CyclotomicScalar:
             return (2, 0) if c == 1 else (2, 1) if c == -1 else None
         M = m if m % 2 == 0 else 2 * m
         num = self.rebase(M).num
-        for k, row in enumerate(_unity_power_coeffs(M)):
-            if num == row:
+        table = _power_table(M)
+        for k in range(M):
+            if num == table[k]:
                 return M, k
         return None
 
@@ -427,23 +430,6 @@ def _canon(conductor: int, num, den: int) -> CyclotomicScalar:
     if g != 1:
         return _exact(conductor, tuple([n // g for n in num]), den // g)
     return _exact(conductor, tuple(num), den)
-
-
-@lru_cache(maxsize=None)
-def _unity_power_coeffs(M: int) -> tuple[tuple[int, ...], ...]:
-    """The numerators of zeta_M^k at conductor M, for k = 0 .. M-1; each
-    has denominator 1 (multiplying by z and reducing by the monic Phi_M
-    keeps integers)."""
-    phi = euler_phi(M)
-    poly = cyclotomic_polynomial(M)
-    row = (1,) + (0,) * (phi - 1)
-    rows = []
-    for _ in range(M):
-        rows.append(row)
-        shifted = (0,) + row
-        lead = shifted[phi]
-        row = tuple([shifted[i] - lead * poly[i] for i in range(phi)])
-    return tuple(rows)
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")

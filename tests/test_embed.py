@@ -470,34 +470,3 @@ def test_decisions_share_their_tuples():
     assert json.dumps(data) == json.dumps(
         {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()})
 
-
-def test_patterns_match_their_defining_products():
-    """The pattern each decision rebuilds on read is the tuple its decide
-    routine defines: d copies of the transversal times the source tuple
-    (part2 takes the source first), or the listed subgroup times the source
-    tuple for an elementary target."""
-    cases = []
-    for inst in generate_corpus(20250809, 6, 80):
-        a, b, group = inst.a, inst.b, inst.a.group
-        cases.append((a, decide(a, b)))
-        if b.H.order == group.order:
-            cases.append((a, decide_part1(a, b)))
-        if (all(x in b.H.members for x in a.s)
-                and all(x in a.H.members for x in b.s)):
-            cases.append((a, decide_part2(a, b)))
-    doc = parse_doc((FIXTURES / "dihedral_regular.json").read_text())
-    a = doc.presentations["A"]
-    cases.append((a, decide(a, doc.presentations["Breg"])))
-    assert {dec.case for _, dec in cases} == {
-        "part23", "part1", "part2", "elementary_nonabelian"}
-    for a, dec in cases:
-        group = a.group
-        block = GTuple.const(group, dec.d)
-        expected = {
-            "part23": block.product(dec.transversal).product(a.s),
-            "part1": block.product(a.s),
-            "part2": block.product(a.s).product(dec.transversal),
-            "elementary_nonabelian":
-                GTuple(group, sorted(a.H.members)).product(a.s),
-        }[dec.case]
-        assert dec.pattern == expected
