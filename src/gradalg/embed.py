@@ -38,7 +38,7 @@ class EmbedDecision:
 
     The pattern tuple is rebuilt by _pattern on each read, not kept: a
     decision then holds only objects its inputs already hold (the interned
-    subgroups, the transversal remembered on the subgroup, the source
+    subgroups, the transversal remembered on their group, the source
     presentation's tuple) besides its verdict and numbers.
     """
 
@@ -107,7 +107,6 @@ def decide(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
 
 
 def _decide_abelian(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
-    group = a.group
     h_sub = a.H.intersection(b.H)
     gamma = a.alpha.restrict(h_sub).ratio(b.alpha.restrict(h_sub))
     d = smallest_irrep(gamma).dim
