@@ -3,11 +3,18 @@
 Machine-readable reports go to stdout (deterministic: sorted keys, no
 timings); a short human summary goes to stderr.  Exit codes: 0 success,
 2 when the requested verdict is false, 1 on any error.
+
+The argument parser is built once per process, on the first call to `main`,
+and every later call reuses it, so a process that serves many requests pays
+for it once.  Each report is encoded by one `json.dumps` call (which runs
+the C encoder) and written in one piece; its bytes equal what `json.dump`
+with the same options writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -144,8 +151,8 @@ def _at_least(args, **minimums):
 
 
 def _emit(report: dict, human: str, verdict_false: bool) -> int:
-    json.dump(report, sys.stdout, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":"))
+                     + "\n")
     print(human, file=sys.stderr)
     return 2 if verdict_false else 0
 
@@ -333,7 +340,10 @@ def _cmd_run(args) -> int:
     return worst
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use.  Parsing reads it and
+    never changes it: each call gets a fresh Namespace of its own."""
     parser = argparse.ArgumentParser(
         prog="gradalg",
         description="decide, build and verify graded embeddings of "
@@ -391,8 +401,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="execute the jobs listed in a document")
     p.add_argument("doc")
     p.set_defaults(func=_cmd_run)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GradAlgError as exc:

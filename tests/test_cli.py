@@ -1,6 +1,8 @@
 """Document parsing, CLI reports, determinism and exit codes."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +19,16 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run_cli(args):
+    env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
+    # a caller that keeps bytecode out of the source tree keeps it out of
+    # the child's imports too
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [sys.executable, "-m", "gradalg.cli", *args],
         capture_output=True, text=True,
         cwd=Path(__file__).resolve().parent.parent,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        env=env,
     )
     return proc
 
@@ -373,3 +380,71 @@ def test_corpus_workers_give_identical_records():
 
 def test_main_error_exit():
     assert main(["decide", "/nonexistent/doc.json"]) == 1
+
+
+@pytest.mark.parametrize("argv, code, digest, verify_digest", [
+    (["decide", "klein_twisted", "--a", "A", "--b", "B2"], 0,
+     "2d0b4058617340bdac8751519d83fcde6d78db77705e2032e997984f132a1999", None),
+    (["decide", "klein_twisted", "--a", "A", "--b", "B1"], 2,
+     "a4007d163afef2c059bc108f40d77c268f22d087b6ea5114b8990127888c0e79", None),
+    (["construct", "klein_twisted", "--a", "A", "--b", "B2"], 0,
+     "65ef58cd0740beba282412643abb382b0e7322bc19d88757c0d6b5e5fdf113dc",
+     "f653b5c41595c55222a59f60b89fae1049b84c7f6dac68eeee96ebd2ca0a5db6"),
+    (["construct", "klein_twisted", "--a", "A", "--b", "B1"], 2,
+     "95bdaad96a39de21f4890dac1598e24c4aa43b43d9fbde27d45f5af05df301a8", None),
+    (["identity-inclusion", "klein_twisted", "--a", "A", "--b", "B2"], 0,
+     "1857d4988df23f14ae0b6753a7aa3c4845bdf54fc34991d4fd1116674abb0329", None),
+    (["identity-inclusion", "klein_twisted", "--a", "B2", "--b", "A"], 2,
+     "02e6590c26487ddeb37a3b8fe31d59b9a939a040869946f075bc770c8a22c3f6", None),
+    (["decide", "dihedral_regular", "--a", "A", "--b", "Breg"], 0,
+     "dc33f48e7c65fa99023ff6e2a7a1218ab1730ef05bc51fc234b54dbf8f345cb2", None),
+    (["construct", "dihedral_regular", "--a", "A", "--b", "Breg"], 0,
+     "9a77875543c200608a53418bc9eeca2e60bcd8cb43586c438843706653b086ce",
+     "d21dd2b6f5ce295559de9598f47271748009b62975244bbb7a7bc5569d2b0173"),
+    (["identity-inclusion", "dihedral_regular", "--a", "A", "--b", "Breg"], 0,
+     "2d4b1e8fec01a3051885047bae474dc211234143290d3e0d8b5747a30032785a", None),
+    (["identity-inclusion", "dihedral_regular", "--a", "Breg", "--b", "A"], 2,
+     "ff5727faa4546bfe4b2d2473fa254c93ec0210a072361f06de7470e28394d383", None),
+    (["semisimple-embed", "zmod10_block_sum", "--a", "A1,A2", "--b", "B"], 0,
+     "d34eff403406faa0ae9a599b726229ffb6c937175f8b2a76a7bda2bef109949c", None),
+])
+def test_fixture_reports_are_byte_identical(tmp_path, capsys, argv, code,
+                                            digest, verify_digest):
+    """The stdout bytes of each request on a fixture are pinned by a digest,
+    and so is the `verify` of each construct report that carries a map:
+    however a report is encoded, its bytes stay these."""
+    argv = [argv[0], str(FIXTURES / f"{argv[1]}.json"), *argv[2:]]
+    assert main(argv) == code
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+    if verify_digest is not None:
+        report_path = tmp_path / "report.json"
+        report_path.write_text(report)
+        assert main(["verify", str(report_path)]) == 0
+        verified = capsys.readouterr().out
+        assert hashlib.sha256(verified.encode()).hexdigest() == verify_digest
+
+
+def test_repeated_calls_share_no_parser_state(capsys, monkeypatch):
+    """Requests served in one process see only their own options: defaults
+    come back after a call that overrode them, and a rejected call leaves
+    the next one unharmed."""
+    monkeypatch.delenv("GRADALG_BUDGET", raising=False)
+    fixture = str(FIXTURES / "klein_twisted.json")
+    inclusion = ["identity-inclusion", fixture, "--b", "B2"]
+    assert main([*inclusion, "--max-len", "2", "--budget", "5"]) == 1
+    assert "exceeds 5" in capsys.readouterr().err
+    # the default budget and length again: the sweep fits and runs to 3
+    assert main(inclusion) == 0
+    assert json.loads(capsys.readouterr().out)["max_len"] == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", fixture, "--no-such-option"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["decide", fixture, "--a", "A", "--b", "B2"]) == 0
+    assert json.loads(capsys.readouterr().out)["decision"]["verdict"] is True
+    corpus = ["corpus-run", "--count", "4", "--max-len", "1"]
+    assert main([*corpus, "--limit", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 3
+    assert main(corpus) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 4
