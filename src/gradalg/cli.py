@@ -36,13 +36,12 @@ class InstanceDoc:
 
     SUPPORTED_VERSIONS = (1,)
 
-    def __init__(self, version, group, presentations, cocycles, jobs, raw):
+    def __init__(self, version, group, presentations, cocycles, jobs):
         self.version = version
         self.group = group
         self.presentations = presentations
         self.cocycles = cocycles
         self.jobs = jobs
-        self.raw = raw
 
 
 def _section(raw: dict, key: str, kind: type, root: str = "$"):
@@ -100,8 +99,7 @@ def _doc_from_json(raw, root: str) -> InstanceDoc:
         if not isinstance(args, dict):
             raise ValidationError(where, "args must be an object")
         cmd = job.get("command")
-        if cmd not in ("decide", "construct", "identity-inclusion",
-                       "envelope", "semisimple-embed"):
+        if not isinstance(cmd, str) or cmd not in _JOB_COMMANDS:
             raise ValidationError(f"{root}.jobs[{k}].command",
                                   f"unknown: {cmd!r}")
         max_len = args.get("max_len", 3)
@@ -118,7 +116,7 @@ def _doc_from_json(raw, root: str) -> InstanceDoc:
                     if part not in presentations:
                         raise ValidationError(f"{where}.{key}",
                                               f"unknown presentation {part!r}")
-    return InstanceDoc(version, group, presentations, cocycles, jobs, raw)
+    return InstanceDoc(version, group, presentations, cocycles, jobs)
 
 
 def _load_doc(path: str) -> InstanceDoc:
@@ -299,6 +297,14 @@ def _cmd_semisimple(args) -> int:
     return _emit(report, human, not cert.is_embedding)
 
 
+# the commands a document's jobs may name: the validator, `run` and the
+# parser all read this one table
+_JOB_COMMANDS = {"decide": _cmd_decide, "construct": _cmd_construct,
+                 "identity-inclusion": _cmd_inclusion,
+                 "envelope": _cmd_envelope,
+                 "semisimple-embed": _cmd_semisimple}
+
+
 def _cmd_corpus(args) -> int:
     # the corpus cycles through the cyclic groups of order 2..order_bound
     _at_least(args, order_bound=2, count=0, max_len=1, limit=0, budget=1,
@@ -329,11 +335,7 @@ def _cmd_run(args) -> int:
             "max_len": job.get("args", {}).get("max_len", 3),
             "cocycle": job.get("args", {}).get("cocycle"),
         })
-        handler = {"decide": _cmd_decide, "construct": _cmd_construct,
-                   "identity-inclusion": _cmd_inclusion,
-                   "envelope": _cmd_envelope,
-                   "semisimple-embed": _cmd_semisimple}[cmd]
-        code = handler(job_args)
+        code = _JOB_COMMANDS[cmd](job_args)
         worst = max(worst, code)
         outputs.append(code)
     print(f"run: {len(outputs)} jobs, exit codes {outputs}", file=sys.stderr)
@@ -350,43 +352,38 @@ def _parser() -> argparse.ArgumentParser:
                     "graded-simple algebra presentations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decide", help="decide embeddability")
-    p.add_argument("doc")
-    p.add_argument("--a", default="A")
-    p.add_argument("--b", default="B")
-    p.set_defaults(func=_cmd_decide)
+    def job(name, about):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("doc")
+        p.set_defaults(func=_JOB_COMMANDS[name])
+        return p
 
-    p = sub.add_parser("construct", help="build and certify an embedding")
-    p.add_argument("doc")
+    p = job("decide", "decide embeddability")
     p.add_argument("--a", default="A")
     p.add_argument("--b", default="B")
-    p.set_defaults(func=_cmd_construct)
+
+    p = job("construct", "build and certify an embedding")
+    p.add_argument("--a", default="A")
+    p.add_argument("--b", default="B")
 
     p = sub.add_parser("verify", help="re-verify a construct report")
     p.add_argument("report")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("identity-inclusion",
-                       help="bounded identity-space inclusion check")
-    p.add_argument("doc")
+    p = job("identity-inclusion", "bounded identity-space inclusion check")
     p.add_argument("--a", default="A")
     p.add_argument("--b", default="B")
     p.add_argument("--max-len", type=int, default=3)
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=_cmd_inclusion)
 
-    p = sub.add_parser("envelope", help="cocycle twist with certified iso")
-    p.add_argument("doc")
+    p = job("envelope", "cocycle twist with certified iso")
     p.add_argument("--b", default="B")
     p.add_argument("--cocycle", required=True)
-    p.set_defaults(func=_cmd_envelope)
 
-    p = sub.add_parser("semisimple-embed",
-                       help="embed a direct sum into a power of the target")
-    p.add_argument("doc")
+    p = job("semisimple-embed",
+            "embed a direct sum into a power of the target")
     p.add_argument("--a", required=True, help="comma-separated component names")
     p.add_argument("--b", required=True, help="comma-separated component names")
-    p.set_defaults(func=_cmd_semisimple)
 
     p = sub.add_parser("corpus-run", help="seeded corpus sweep")
     p.add_argument("--seed", type=int, default=0)

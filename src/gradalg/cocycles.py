@@ -4,6 +4,10 @@ Covers validation and normalization, pointwise combinations, the alternating
 bicharacter and its radical, multiplicative coboundary solving through integer
 exponent systems, and the minimal irreducible representation of an abelian
 twisted group algebra.
+
+Each fact is checked once: a table becomes a `Cocycle` through
+`verify_and_normalize` (or is the constant table of `Cocycle.trivial`), so
+its bicharacter is built unchecked, and `smallest_irrep` builds just one.
 """
 
 from __future__ import annotations
@@ -163,28 +167,31 @@ class Bicharacter:
 
     @classmethod
     def from_cocycle(cls, alpha: Cocycle) -> Bicharacter:
+        """The form of a cocycle on an abelian subgroup, built unchecked.
+
+        For a 2-cocycle alpha on an abelian group, beta is an alternating
+        bicharacter.  beta(a,a) = 1 and beta(a,b) beta(b,a) = 1 by its
+        definition.  The twisted group algebra, U_a U_b = alpha(a,b) U_ab, is
+        associative because alpha meets the cocycle identity, and since
+        ab = ba, U_a U_b = beta(a,b) U_b U_a.  So U_a (U_b U_c) =
+        beta(a,b) beta(a,c) U_b U_c U_a, that is beta(a,bc) =
+        beta(a,b) beta(a,c), and the first argument follows by alternation.
+        Every `Cocycle` but the constant one of `Cocycle.trivial` has passed
+        `verify_and_normalize`, which checks the identity at every triple
+        (normalizing by a constant keeps it and beta), so none is checked
+        here.
+        """
         sub = alpha.subgroup
         if not sub.is_abelian():
             raise NonAbelianGroup("bicharacter requires an abelian subgroup")
         vals = {(a, b): alpha.values[(a, b)] / alpha.values[(b, a)]
                 for a in sub for b in sub}
-        t = sub.parent.table
-        for a in sub:
-            for b in sub:
-                if not (vals[(a, b)] * vals[(b, a)]).is_one():
-                    raise ArithmeticError("bicharacter is not alternating")
-                for c in sub:
-                    if vals[(a, t[b][c])] != vals[(a, b)] * vals[(a, c)]:
-                        raise ArithmeticError("bicharacter is not multiplicative")
         rad = [g for g in sub if all(vals[(g, h)].is_one() for h in sub)]
         radical = sub.parent._interned(rad)
         return cls(sub, vals, radical)
 
-    def value(self, a: int, b: int) -> CyclotomicScalar:
-        return self.values[(a, b)]
 
-
-def coboundary_solve(alpha: Cocycle, require_symmetric: bool = True) -> dict:
+def coboundary_solve(alpha: Cocycle) -> dict:
     """A splitting mu with alpha(a,b) = mu(a) mu(b) / mu(ab), on abelian domain.
 
     Works multiplicatively through discrete exponents: all values of alpha
@@ -206,11 +213,10 @@ def coboundary_solve(alpha: Cocycle, require_symmetric: bool = True) -> dict:
     sub = alpha.subgroup
     if not sub.is_abelian():
         raise NonAbelianGroup("coboundary solving requires an abelian subgroup")
-    if require_symmetric:
-        for a in sub:
-            for b in sub:
-                if alpha.values[(a, b)] != alpha.values[(b, a)]:
-                    raise NotSymmetric(f"alpha({a},{b}) != alpha({b},{a})")
+    for a in sub:
+        for b in sub:
+            if alpha.values[(a, b)] != alpha.values[(b, a)]:
+                raise NotSymmetric(f"alpha({a},{b}) != alpha({b},{a})")
     members = sub.sorted_members
     index = {g: i for i, g in enumerate(members)}
     orders = []
@@ -255,18 +261,21 @@ def coboundary_solve(alpha: Cocycle, require_symmetric: bool = True) -> dict:
 
 
 class IrrepData:
-    """A verified minimal irreducible representation of a twisted group algebra."""
+    """A verified minimal irreducible representation of a twisted group
+    algebra; `radical` is that of the bicharacter of `cocycle`."""
 
     def __init__(self, cocycle: Cocycle, dim: int, rho: dict,
-                 isotropic: Subgroup, splitting: dict):
+                 radical: Subgroup):
         self.cocycle = cocycle
         self.dim = dim
         self.rho = rho
-        self.isotropic = isotropic
-        self.splitting = splitting
+        self.radical = radical
         self._verify()
 
     def _verify(self):
+        """rho(U_e) = 1, rho is alpha-multiplicative, its images span the
+        d x d matrices, and d^2 |Rad| = |H| (Karpilovsky, Projective
+        Representations of Finite Groups, 1985)."""
         sub = self.cocycle.subgroup
         group = sub.parent
         d = self.dim
@@ -286,8 +295,7 @@ class IrrepData:
                    for m in self.rho.values()]
         if linalg.rank(vectors, d * d) != d * d:
             raise ArithmeticError("matrix images do not span a full matrix algebra")
-        radical = self.cocycle.bicharacter().radical
-        if d * d * radical.order != sub.order:
+        if d * d * self.radical.order != sub.order:
             raise ArithmeticError("dimension does not match the radical index")
 
 
@@ -296,11 +304,10 @@ def smallest_irrep(gamma: Cocycle) -> IrrepData:
 
     A maximal isotropic subgroup L for the bicharacter is grown greedily from
     the radical; the splitting on L induces the representation on the coset
-    basis of L in H.
+    basis of L in H.  `IrrepData` checks d against the radical of the one
+    bicharacter built here.
     """
     sub = gamma.subgroup
-    if not sub.is_abelian():
-        raise NonAbelianGroup("smallest_irrep requires an abelian subgroup")
     group = sub.parent
     beta = gamma.bicharacter()
     iso = set(beta.radical.members)
@@ -329,7 +336,7 @@ def smallest_irrep(gamma: Cocycle) -> IrrepData:
                      * gamma.values[(wp, l)].inverse() * mu[l])
             mat[pos[wp]][j] = coeff
         rho[h] = mat
-    return IrrepData(gamma, d, rho, isotropic, mu)
+    return IrrepData(gamma, d, rho, beta.radical)
 
 
 def transversal_normalize(alpha: Cocycle, h_sub: Subgroup, transversal: GTuple):

@@ -4,7 +4,9 @@ Instances are pairs of presentations over small abelian ambient groups (plus
 elementary targets), drawn deterministically from a seed.  A run record per
 instance captures the decision, the construction certificate and the bounded
 identity-inclusion check on true decisions, and a verified separator or an
-honest inconclusive mark on false ones.
+honest inconclusive mark on false ones.  A separator is verified once, by
+the `separate_*` function that builds it (see `SeparatorResult`); the run
+record reports it without checking it again.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .embed import construct, decide, decide_part1, decide_part2
 from .errors import (BudgetExceeded, NotFoundWithinBudget, VerificationFailed)
 from .galg import GradedPresentation
 from .groups import FiniteGroup, GTuple
-from .identities import (inclusion_bounded, is_identity, separate_elementary,
+from .identities import (inclusion_bounded, separate_elementary,
                          separate_part1, separate_bounded)
 
 MAX_TUPLE_LEN = 3
@@ -53,8 +55,8 @@ class Instance:
         return f"Instance({self.name}, tag={self.tag})"
 
 
-def _random_tuple(rng, group, max_len=MAX_TUPLE_LEN, members=None):
-    length = rng.randrange(1, max_len + 1)
+def _random_tuple(rng, group, members=None):
+    length = rng.randrange(1, MAX_TUPLE_LEN + 1)
     pool = sorted(members) if members is not None else list(group.elements())
     return GTuple(group, [rng.choice(pool) for _ in range(length)])
 
@@ -159,16 +161,6 @@ def _attempt_separator(inst: Instance, max_len: int, budget) -> dict:
             sep = separate_bounded(a, b, max_len, budget)
     except (NotFoundWithinBudget, BudgetExceeded) as exc:
         return {"status": "inconclusive-witness", "reason": str(exc)}
-    # separators arrive pre-verified; re-assert the defining property
-    if hasattr(sep.poly, "is_identity_on"):
-        ok_b = sep.poly.is_identity_on(b, budget)
-        val = sep.poly.evaluate([a.basis_element(k) for k in sep.witness_a])
-        ok_a = not val.is_zero()
-    else:
-        ok_b = is_identity(sep.poly, b, budget).is_identity
-        ok_a = not is_identity(sep.poly, a, budget).is_identity
-    if not (ok_b and ok_a):
-        raise VerificationFailed(f"{inst.name}: separator failed re-verification")
     return {"status": "verified", "kind": sep.kind,
             "multidegree": [int(g) for g in sep.degrees]}
 

@@ -1,15 +1,17 @@
 """Degreewise tensor envelopes and the cocycle-twist of a presentation.
 
 The degreewise envelope of two graded algebras keeps only the matching-degree
-part of the tensor product.  Twisting by a 2-cocycle has an explicit
-presentation-level normal form for presentations of graded-simple algebras,
-realized here together with the isomorphism onto it.
+part of the tensor product; `genvelope` returns its carrier, whose component
+dimensions hold by construction and are not counted again.  Twisting by a
+2-cocycle has an explicit presentation-level normal form for presentations
+of graded-simple algebras, realized here together with the isomorphism onto
+it.
 """
 
 from __future__ import annotations
 
 from .cocycles import Cocycle
-from .errors import MismatchedGroup, VerificationFailed
+from .errors import MismatchedGroup
 from .galg import GradedHom, GradedPresentation, _AlgebraBase
 from .groups import GTuple
 
@@ -46,26 +48,14 @@ class EnvelopeCarrier(_AlgebraBase):
         return out
 
 
-class EnvelopeResult:
-    """Carrier of a degreewise envelope plus operand provenance."""
+def genvelope(left, right) -> EnvelopeCarrier:
+    """The graded algebra with components A_g tensor B_g, as its carrier.
 
-    def __init__(self, carrier: EnvelopeCarrier, left, right):
-        self.carrier = carrier
-        self.left = left
-        self.right = right
-        self._check_component_dims()
-
-    def _check_component_dims(self):
-        degrees = {self.carrier.basis_degree(k) for k in self.carrier.basis_keys()}
-        for g in degrees:
-            expected = len(self.left.component(g)) * len(self.right.component(g))
-            if len(self.carrier.component(g)) != expected:
-                raise VerificationFailed("envelope component dimension mismatch")
-
-
-def genvelope(left, right) -> EnvelopeResult:
-    """The graded algebra with components A_g tensor B_g."""
-    return EnvelopeResult(EnvelopeCarrier(left, right), left, right)
+    Its component of degree g has dimension dim A_g * dim B_g by
+    construction: its keys are exactly the pairs of a degree-g key of each
+    operand.
+    """
+    return EnvelopeCarrier(left, right)
 
 
 class AlphaEnvelope:
@@ -129,10 +119,8 @@ def round_trip_iso(b: GradedPresentation, alpha: Cocycle):
     tests, construction itself is scalar-free.
     """
     forward = genvelope(GradedPresentation.twisted_group_algebra(alpha), b)
-    backward = genvelope(
-        GradedPresentation.twisted_group_algebra(alpha.inverse()),
-        forward.carrier)
-    carrier = backward.carrier
+    carrier = genvelope(
+        GradedPresentation.twisted_group_algebra(alpha.inverse()), forward)
     images = {}
     for key in carrier.basis_keys():
         _, (_, bkey) = key

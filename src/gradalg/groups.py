@@ -222,7 +222,7 @@ class FiniteGroup:
     def trivial_subgroup(self) -> Subgroup:
         return self._interned([self.identity])
 
-    def all_subgroups(self, max_generators: int = 4) -> list[Subgroup]:
+    def all_subgroups(self) -> list[Subgroup]:
         """All subgroups, by closing generator sets (fine at table scale)."""
         found = {frozenset([self.identity])}
         frontier = [frozenset([self.identity])]
@@ -412,10 +412,6 @@ class GTuple:
         return GTuple(self.group,
                       [t[a][b] for a in self.entries for b in other.entries])
 
-    def concat(self, other: GTuple) -> GTuple:
-        self.same_parent(other)
-        return GTuple(self.group, self.entries + other.entries)
-
     def shift(self, g: int) -> GTuple:
         """Left multiplication: (g*t_1, ..., g*t_n)."""
         self.group.check_element(g)
@@ -427,17 +423,28 @@ class GTuple:
 
 
 def build_group(spec: dict) -> FiniteGroup:
-    """Build a group from its JSON specification."""
+    """Build a group from its JSON specification, whose numbers must be
+    JSON integers: type(...) is int, since True == 1 and int(2.5) == 2."""
     kind = spec.get("kind")
     if kind == "cyclic":
-        n = int(spec["n"])
-        if n < 1:
-            raise ValueError("cyclic group order must be positive")
+        n = spec["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"cyclic group order must be a positive "
+                             f"integer, got {n!r}")
         return FiniteGroup.cyclic(n)
     if kind == "product":
-        return FiniteGroup.product([build_group(f) for f in spec["factors"]])
+        factors = spec["factors"]
+        if not isinstance(factors, list):
+            raise ValueError("factors must be a list")
+        return FiniteGroup.product([build_group(f) for f in factors])
     if kind == "table":
-        return FiniteGroup.from_table(spec["table"], name=spec.get("name", "G"))
+        table = spec["table"]
+        rows_ok = isinstance(table, list) and all(
+            isinstance(row, list) and all(type(x) is int for x in row)
+            for row in table)
+        if not rows_ok:
+            raise ValueError("table must be a list of rows of integers")
+        return FiniteGroup.from_table(table, name=spec.get("name", "G"))
     raise ValueError(f"unknown group kind: {kind!r}")
 
 

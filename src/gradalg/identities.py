@@ -141,19 +141,14 @@ class MultilinearPoly:
         return cls(group, data["multidegree"], coeffs)
 
 
-def standard_poly(r: int, degrees, group: FiniteGroup | None = None,
-                  target: int | None = None) -> MultilinearPoly:
-    """The alternating signed sum over all orderings, filtered to the words
-    whose degree product hits the target (the identity ordering's by default)."""
-    if isinstance(degrees, GTuple):
-        group = degrees.group
-        degrees = degrees.entries
+def standard_poly(r: int, degrees, group: FiniteGroup) -> MultilinearPoly:
+    """The alternating signed sum over the orderings whose degree product
+    is that of the identity ordering."""
     degrees = tuple(degrees)
     if len(degrees) != r:
         raise LengthMismatch("degree list length must match the arity")
     probe = MultilinearPoly(group, degrees, {})
-    ident = tuple(range(r))
-    goal = target if target is not None else probe.word_target(ident)
+    goal = probe.word_target(tuple(range(r)))
     coeffs = {}
     for word in permutations(range(r)):
         if probe.word_target(word) == goal:
@@ -546,6 +541,16 @@ class ProductPoly:
 # -- separators -------------------------------------------------------------------
 
 class SeparatorResult:
+    """A polynomial that vanishes on B and not on A at the witness.
+
+    Each `separate_*` function checks both before it returns, and nothing
+    checks them again.  Vanishing on B: `is_identity` (part1, and bounded
+    within `inclusion_bounded`) or `ProductPoly.is_identity_on`
+    (elementary).  Nonzero on A at `witness_a`: `evaluate` (part1),
+    `ProductPoly.evaluate` (elementary), or the `is_identity` sweep on A
+    whose nonzero assignment is the witness (bounded).
+    """
+
     def __init__(self, kind, poly, witness_a, degrees):
         self.kind = kind
         self.poly = poly            # MultilinearPoly or ProductPoly

@@ -117,8 +117,6 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-_unity_power_coeffs = _power_table   # the name the tests use for its rows
-
 
 def _reduce(m: int, coeffs) -> tuple:
     """The vector sum_k coeffs[k] z^k reduced modulo Phi_m, as a tuple of
@@ -363,13 +361,6 @@ class CyclotomicScalar:
     def is_root_of_unity(self) -> bool:
         return self.as_root_of_unity() is not None
 
-    def root_order(self) -> int:
-        data = self.as_root_of_unity()
-        if data is None:
-            raise NotRootOfUnity(f"{self!r} is not a root of unity")
-        M, k = data
-        return M // gcd(M, k) if k else 1
-
     def sqrt_root_of_unity(self) -> CyclotomicScalar:
         """Canonical square root zeta_2M^k of a root of unity zeta_M^k."""
         data = self.as_root_of_unity()
@@ -498,8 +489,3 @@ def _poly_divmod(a, b):
             for i, d in enumerate(b):
                 a[k + i] -= c * d
     return q, _poly_trim(a)
-
-
-ZERO = CyclotomicScalar.zero()
-ONE = CyclotomicScalar.one()
-MINUS_ONE = CyclotomicScalar.from_rational(-1)

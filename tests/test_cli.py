@@ -99,6 +99,23 @@ def _klein_with_job(job):
 _INCLUSION = {"command": "identity-inclusion", "args": {"a": "A", "b": "B2"}}
 
 
+# group specs whose numbers are not JSON integers: an order of 2.5, true or
+# "6" once built Z2, Z1 or Z6 under int(), and a table of booleans Z2
+_NOT_INTEGER_GROUPS = [
+    {"kind": "cyclic", "n": 2.5},
+    {"kind": "cyclic", "n": True},
+    {"kind": "cyclic", "n": "6"},
+    {"kind": "product", "factors": {"kind": "cyclic", "n": 2}},
+    {"kind": "product", "factors": [{"kind": "cyclic", "n": 2},
+                                    {"kind": "cyclic", "n": True}]},
+    {"kind": "table", "table": [[True, False], [False, True]]},
+    {"kind": "table", "table": [[0, 1.0], [1.0, 0]]},
+]
+_NOT_INTEGER_IDS = ["float-order", "bool-order", "string-order",
+                    "object-factors", "bool-factor-order", "bool-table",
+                    "float-table"]
+
+
 @pytest.mark.parametrize("doc, argv, path", [
     ({"group": _GROUP, "presentations": [_TRIVIAL]}, ["decide"],
      "$.presentations"),
@@ -114,6 +131,8 @@ _INCLUSION = {"command": "identity-inclusion", "args": {"a": "A", "b": "B2"}}
      ["run"], "$.jobs[2].args.cocycle"),
     ({**_klein_with_job(_INCLUSION), "version": True}, ["run"], "$.version"),
     ({**_klein_with_job(_INCLUSION), "version": 1.0}, ["run"], "$.version"),
+    *[({"group": group, "presentations": {"A": _TRIVIAL}}, ["decide"],
+       "$.group") for group in _NOT_INTEGER_GROUPS],
 ])
 def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
                                                         argv, path):
@@ -123,6 +142,16 @@ def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: {path}: " in err
+
+
+@pytest.mark.parametrize("command", ["x", ["decide"], None])
+def test_run_rejects_unknown_job_command(tmp_path, capsys, command):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(_klein_with_job({"command": command})))
+    assert main(["run", str(doc_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: $.jobs[2].command: unknown: {command!r}" in err
 
 
 # paths into the klein_twisted fixture: "*" stands for any presentation
@@ -184,8 +213,11 @@ _DUPLICATE_IMAGE = {**_STRAY_IMAGE,
     (json.dumps({"a": "A", "b": "A", "hom": {"images": []}}), "$.doc"),
     (json.dumps(_STRAY_IMAGE), "$.hom.images[0]"),
     (json.dumps(_DUPLICATE_IMAGE), "$.hom.images[1]"),
+    *[(json.dumps({**_STRAY_IMAGE,
+                   "doc": {**_STRAY_IMAGE["doc"], "group": group}}),
+       "$.doc.group") for group in _NOT_INTEGER_GROUPS],
 ], ids=["invalid-json", "top-level-list", "no-doc", "stray-image-key",
-        "duplicate-image-key"])
+        "duplicate-image-key", *("group-" + i for i in _NOT_INTEGER_IDS)])
 def test_verify_rejects_malformed_report_without_traceback(tmp_path, capsys,
                                                            text, path):
     report_path = tmp_path / "report.json"

@@ -5,10 +5,10 @@ from math import gcd, lcm
 
 import pytest
 
-from gradalg.cocycles import (Cocycle, abelian_basis, coboundary_solve,
-                              element_coordinates, enumerate_cocycle_classes,
-                              random_coboundary, smallest_irrep,
-                              transversal_normalize)
+from gradalg.cocycles import (Bicharacter, Cocycle, abelian_basis,
+                              coboundary_solve, element_coordinates,
+                              enumerate_cocycle_classes, random_coboundary,
+                              smallest_irrep, transversal_normalize)
 from gradalg.errors import CocycleIdentityViolated, NotSymmetric
 from gradalg.groups import FiniteGroup, GTuple, Subgroup
 from gradalg.scalars import CyclotomicScalar as C
@@ -73,6 +73,56 @@ def test_bicharacter_radicals(klein):
     assert alpha.bicharacter().radical.order == 1
     triv = Cocycle.trivial(klein.full_subgroup())
     assert triv.bicharacter().radical.order == 4
+
+
+def test_bicharacter_is_alternating_and_bilinear():
+    """Bicharacter.from_cocycle checks no triple: every class on Z2xZ2, Z4,
+    Z6 and Z2xZ4, restricted to every subgroup and rescaled by a random
+    coboundary, gives beta(a,a) = 1, beta(a,b) beta(b,a) = 1 and
+    multiplicativity in each argument."""
+    rng = random.Random(23)
+    checked = 0
+    for group in (FiniteGroup.product([FiniteGroup.cyclic(2)] * 2),
+                  FiniteGroup.cyclic(4), FiniteGroup.cyclic(6),
+                  FiniteGroup.product([FiniteGroup.cyclic(2),
+                                       FiniteGroup.cyclic(4)])):
+        t = group.table
+        for cls in enumerate_cocycle_classes(group.full_subgroup()):
+            for sub in group.all_subgroups():
+                alpha = cls.restrict(sub).twist_by_coboundary(
+                    random_coboundary(sub, rng))
+                beta = alpha.bicharacter().values
+                for a in sub:
+                    assert beta[(a, a)].is_one()
+                    for b in sub:
+                        assert (beta[(a, b)] * beta[(b, a)]).is_one()
+                        for c in sub:
+                            assert beta[(a, t[b][c])] == \
+                                beta[(a, b)] * beta[(a, c)]
+                            assert beta[(t[a][b], c)] == \
+                                beta[(a, c)] * beta[(b, c)]
+                checked += 1
+    # classes x subgroups: Z2xZ2 2 x 5, Z4 1 x 3, Z6 1 x 4, Z2xZ4 2 x 8
+    assert checked == 10 + 3 + 4 + 16
+
+
+def test_smallest_irrep_builds_one_bicharacter(monkeypatch, klein,
+                                               klein_classes):
+    """The dimension check reads the radical smallest_irrep already has."""
+    built = []
+    original = Bicharacter.from_cocycle.__func__
+
+    def counted(cls, alpha):
+        built.append(alpha)
+        return original(cls, alpha)
+
+    monkeypatch.setattr(Bicharacter, "from_cocycle", classmethod(counted))
+    z6 = FiniteGroup.cyclic(6)
+    for gamma in (*klein_classes, klein_alpha(klein),
+                  *enumerate_cocycle_classes(z6.full_subgroup())):
+        built.clear()
+        assert smallest_irrep(gamma).dim in (1, 2)
+        assert len(built) == 1
 
 
 def test_cyclic_cocycles_have_full_radical():

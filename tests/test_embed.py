@@ -212,7 +212,7 @@ def test_monotonicity_under_concatenation():
         if decide(a, b).verdict:
             bigger = GradedPresentation(
                 z6, n2, Cocycle.trivial(n2),
-                t.concat(GTuple(z6, [rng.randrange(6)])))
+                GTuple(z6, t.entries + (rng.randrange(6),)))
             assert decide(a, bigger).verdict
 
 

@@ -16,15 +16,20 @@ from test_cocycles import klein_alpha
 
 
 def test_envelope_component_dims(klein, klein_classes):
-    _, nt = klein_classes
-    ka = GradedPresentation.twisted_group_algebra(nt)
-    b = GradedPresentation(klein, klein.full_subgroup(),
-                           Cocycle.trivial(klein.full_subgroup()),
-                           GTuple(klein, [0, 2]))
-    res = genvelope(ka, b)
-    for g in klein.elements():
-        assert len(res.carrier.component(g)) == \
-            len(ka.component(g)) * len(b.component(g))
+    """Each component of a carrier, also of a carrier of a carrier, has
+    dimension dim A_g * dim B_g; genvelope does not count this itself."""
+    h = klein.subgroup([0, 1])
+    for alpha in klein_classes:
+        ka = GradedPresentation.twisted_group_algebra(alpha)
+        for sub, s in ((klein.full_subgroup(), [0, 2]), (h, [0, 2, 3])):
+            b = GradedPresentation(klein, sub, Cocycle.trivial(sub),
+                                   GTuple(klein, s))
+            inner = genvelope(ka, b)
+            outer = genvelope(ka, inner)
+            for left, right, env in ((ka, b, inner), (ka, inner, outer)):
+                for g in klein.elements():
+                    assert len(env.component(g)) == \
+                        len(left.component(g)) * len(right.component(g))
 
 
 def test_envelope_requires_same_group(klein, z4, klein_classes):
@@ -39,12 +44,12 @@ def test_twist_against_inverse_is_commutative(klein, klein_classes):
     _, nt = klein_classes
     ka = GradedPresentation.twisted_group_algebra(nt)
     kb = GradedPresentation.twisted_group_algebra(nt.inverse())
-    res = genvelope(kb, ka)
-    keys = res.carrier.basis_keys()
+    carrier = genvelope(kb, ka)
+    keys = carrier.basis_keys()
     for k1 in keys:
         for k2 in keys:
-            a = res.carrier.basis_element(k1)
-            b = res.carrier.basis_element(k2)
+            a = carrier.basis_element(k1)
+            b = carrier.basis_element(k2)
             assert a * b == b * a
 
 

