@@ -25,7 +25,7 @@ from .embed import construct, decide
 from .envelope import alpha_envelope
 from .errors import GradAlgError, ParseError, ValidationError
 from .galg import GradedHom, GradedPresentation, verify_hom
-from .groups import build_group, group_to_json
+from .groups import build_group, group_to_json, json_ints
 from .identities import get_budget, inclusion_bounded
 from .scalars import CyclotomicScalar
 from .semisimple import SemisimplePresentation, embed_into_power
@@ -188,6 +188,14 @@ def _cmd_construct(args) -> int:
     return _emit(report, human, False)
 
 
+def _basis_key(value) -> tuple:
+    """A presentation basis key (h, i, j) from a list of three JSON
+    integers (see json_ints)."""
+    if len(json_ints(value, "a basis key")) != 3:
+        raise ValueError(f"a basis key has three entries, not {value!r}")
+    return tuple(value)
+
+
 def _hom_from_report(report: dict):
     """The map a construct report carries, with its document slice checked
     like an instance document and every image entry checked against the
@@ -205,8 +213,9 @@ def _hom_from_report(report: dict):
     images = {}
     for n, entry in enumerate(entries):
         try:
-            key = tuple(entry["key"])
-            terms = {tuple(t["key"]): CyclotomicScalar.from_json(t["coeff"])
+            key = _basis_key(entry["key"])
+            terms = {_basis_key(t["key"]):
+                     CyclotomicScalar.from_json(t["coeff"])
                      for t in entry["terms"]}
             known = key in src_keys and terms.keys() <= tgt_keys
         except (GradAlgError, KeyError, TypeError, ValueError,

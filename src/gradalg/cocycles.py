@@ -18,7 +18,7 @@ from . import linalg
 from .errors import (CocycleIdentityViolated, ElementOutsideGroup,
                      MismatchedGroup, NonAbelianGroup, NoSolution,
                      NotRootOfUnity, NotSubgroup, NotSymmetric, NotTransversal)
-from .groups import FiniteGroup, GTuple, Subgroup
+from .groups import FiniteGroup, GTuple, Subgroup, json_ints
 from .scalars import CyclotomicScalar
 
 ONE = CyclotomicScalar.one()
@@ -148,12 +148,19 @@ class Cocycle:
 
     @classmethod
     def from_json(cls, group: FiniteGroup, data) -> Cocycle:
-        sub = Subgroup(group, data["subgroup"]["elements"])
+        """Read the to_json form: the subgroup's elements JSON integers
+        (see json_ints) and `values` exactly |H| rows of |H| scalars."""
+        sub = Subgroup(group, json_ints(data["subgroup"]["elements"],
+                                        "subgroup.elements"))
         members = sub.sorted_members
+        rows, n = data["values"], len(members)
+        if not isinstance(rows, list) or len(rows) != n or any(
+                not isinstance(row, list) or len(row) != n for row in rows):
+            raise ValueError(f"values must be {n} lists of {n} entries")
         values = {}
         for i, a in enumerate(members):
             for j, b in enumerate(members):
-                values[(a, b)] = CyclotomicScalar.from_json(data["values"][i][j])
+                values[(a, b)] = CyclotomicScalar.from_json(rows[i][j])
         return cls.verify_and_normalize(sub, values)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import linalg
 from .cocycles import Cocycle
 from .errors import MismatchedParent
-from .groups import FiniteGroup, GTuple, Subgroup
+from .groups import FiniteGroup, GTuple, Subgroup, json_ints
 from .scalars import CyclotomicScalar
 
 ONE = CyclotomicScalar.one()
@@ -246,9 +246,12 @@ class GradedPresentation(_AlgebraBase):
 
     @classmethod
     def from_json(cls, group: FiniteGroup, data) -> GradedPresentation:
-        h_sub = Subgroup(group, data["H"]["elements"])
+        """Read the to_json form; every group element must be a JSON
+        integer (see json_ints), checked here rather than in Subgroup and
+        GTuple, which the engine builds on its hot path."""
+        h_sub = Subgroup(group, json_ints(data["H"]["elements"], "H.elements"))
         alpha = Cocycle.from_json(group, data["alpha"])
-        s = GTuple(group, data["s"]["entries"])
+        s = GTuple(group, json_ints(data["s"]["entries"], "s.entries"))
         return cls(group, h_sub, alpha, s)
 
 

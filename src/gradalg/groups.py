@@ -422,30 +422,65 @@ class GTuple:
         return GTuple(self.group, [self.entries[i] for i in indices])
 
 
+# The largest group a document may name.  A cyclic table of order n holds
+# n^2 entries, so a short document could otherwise ask for any amount of
+# memory.  The corpus and the fixtures use orders of at most 12.
+MAX_GROUP_ORDER = 256
+
+
+def json_ints(values, what: str) -> list:
+    """values, if it is a list of JSON integers.  type(...) is int: true,
+    0.9 and "1" are refused, where int() would read them as 1, 0 and 1."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise ValueError(f"{what} must be a list of integers")
+    return values
+
+
 def build_group(spec: dict) -> FiniteGroup:
     """Build a group from its JSON specification, whose numbers must be
-    JSON integers: type(...) is int, since True == 1 and int(2.5) == 2."""
+    JSON integers (see json_ints).  A group of order above MAX_GROUP_ORDER
+    is refused before any table is built."""
+    order = _spec_order(spec)
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {order} exceeds {MAX_GROUP_ORDER}")
+    return _build(spec)
+
+
+def _spec_order(spec: dict) -> int:
+    """The order of the group a specification names, its numbers checked,
+    from the specification alone."""
     kind = spec.get("kind")
     if kind == "cyclic":
         n = spec["n"]
         if type(n) is not int or n < 1:
             raise ValueError(f"cyclic group order must be a positive "
                              f"integer, got {n!r}")
-        return FiniteGroup.cyclic(n)
+        return n
     if kind == "product":
         factors = spec["factors"]
         if not isinstance(factors, list):
             raise ValueError("factors must be a list")
-        return FiniteGroup.product([build_group(f) for f in factors])
+        order = 1
+        for f in factors:
+            order *= _spec_order(f)
+        return order
     if kind == "table":
         table = spec["table"]
-        rows_ok = isinstance(table, list) and all(
-            isinstance(row, list) and all(type(x) is int for x in row)
-            for row in table)
-        if not rows_ok:
-            raise ValueError("table must be a list of rows of integers")
-        return FiniteGroup.from_table(table, name=spec.get("name", "G"))
+        if not isinstance(table, list):
+            raise ValueError("table must be a list of rows")
+        for row in table:
+            json_ints(row, "each table row")
+        return len(table)
     raise ValueError(f"unknown group kind: {kind!r}")
+
+
+def _build(spec: dict) -> FiniteGroup:
+    kind = spec["kind"]
+    if kind == "cyclic":
+        return FiniteGroup.cyclic(spec["n"])
+    if kind == "product":
+        return FiniteGroup.product([_build(f) for f in spec["factors"]])
+    return FiniteGroup.from_table(spec["table"], name=spec.get("name", "G"))
 
 
 def group_to_json(group: FiniteGroup) -> dict:

@@ -17,16 +17,19 @@ element has exactly one (num, den) at a given conductor: equality at a
 common conductor is componentwise comparison of num and den, and it is
 exact.
 
+Everything between the input boundary and the output is int arithmetic.
 Phi_m is monic with integer coefficients, so reducing an integer vector
-modulo it (through the integer _power_table, or by long division) keeps it
-integral.  A product is therefore the integer convolution of the numerators,
-reduced, over the product of the denominators, and a sum cross-multiplies;
-only a result whose denominator is not 1 pays one gcd to return to canonical
-form.  Every root of unity, and so every cocycle value, has integer
-coordinates and denominator 1.  Rebasing keeps the form canonical: Z[zeta_m]
-is a direct summand of Z[zeta_M] as a Z-module (Z[zeta_M] is free over it on
-powers of zeta_M starting at 1), so a prime that divides every coordinate at
-conductor M divides every coordinate at conductor m.
+modulo it, through the integer _power_table, keeps it integral.  A product
+is therefore the integer convolution of the numerators, reduced, over the
+product of the denominators, and a sum cross-multiplies; only a result whose
+denominator is not 1 pays one gcd to return to canonical form.  Every root
+of unity, and so every cocycle value, has integer coordinates and
+denominator 1.  Rebasing adds a row of the power table per nonzero
+numerator, and keeps the form canonical: Z[zeta_m] is a direct summand of
+Z[zeta_M] as a Z-module (Z[zeta_M] is free over it on powers of zeta_M
+starting at 1), so a prime that divides every coordinate at conductor M
+divides every coordinate at conductor m.  An inverse is taken through the
+field norm (see `inverse`), again with the power table alone.
 
 Conductors 1 and 2 have phi = 1: the field is Q and a scalar is one rational
 num[0] / den, so the same code does plain int arithmetic there, with a
@@ -34,12 +37,14 @@ convolution of length one and nothing to reduce.  The only roots of unity in
 Q are 1 and -1, so at conductor 1 as_root_of_unity answers (2, 0), (2, 1) or
 None, exactly what the scan over the powers of zeta_2 gives.
 
-`coeffs` is a read-only view of the coordinates as Fractions, for tests and
-display; inverse outside Q runs extended Euclid over Fractions and returns
-to this form.  Results computed here are built by _exact or _canon from
-numerators already reduced; only the public constructor checks its input,
-and it takes int (not bool) and Fraction coordinates alone, since a float or
-a string would bring in a value that was never exact.
+Operands are scalars only: +, -, *, / and == with anything else return
+NotImplemented, so `x + 1` and `2 * x` raise TypeError; a rational enters
+through from_rational.  Fraction appears only at the boundary: the public
+constructor and from_rational, which take int (not bool) and Fraction
+coordinates alone, since a float or a string would bring in a value that was
+never exact; from_json; and `coeffs`, a read-only view of the coordinates as
+Fractions for tests and display.  Results computed here are built by _exact
+or _canon from numerators already reduced.
 """
 
 from __future__ import annotations
@@ -50,9 +55,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import ConductorNotMultiple, DivisionByZero, NotRootOfUnity
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def euler_phi(m: int) -> int:
@@ -116,22 +118,6 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
         row = tuple([shifted[i] - lead * poly[i] for i in range(phi)])
     return tuple(rows)
 
-
-
-def _reduce(m: int, coeffs) -> tuple:
-    """The vector sum_k coeffs[k] z^k reduced modulo Phi_m, as a tuple of
-    length phi(m), by long division.  Phi_m is monic with integer
-    coefficients, so int entries stay int and Fraction entries Fraction."""
-    phi = euler_phi(m)
-    coeffs = list(coeffs)
-    if len(coeffs) > phi:
-        poly = cyclotomic_polynomial(m)
-        for k in range(len(coeffs) - 1, phi - 1, -1):
-            c = coeffs[k]
-            if c:
-                for i in range(phi + 1):
-                    coeffs[k - phi + i] -= c * poly[i]
-    return tuple(coeffs[:phi] + [0] * (phi - len(coeffs)))
 
 
 def _mul_reduced(m: int, x: tuple, y: tuple) -> tuple:
@@ -219,13 +205,16 @@ class CyclotomicScalar:
         if conductor % self.conductor != 0:
             raise ConductorNotMultiple(
                 f"{self.conductor} does not divide {conductor}")
-        num = self.num
+        # z_m^k = z_M^(k*step), and k*step <= (phi(m)-1)*step < M has a row
         step = conductor // self.conductor
-        spread = [0] * (step * (len(num) - 1) + 1)
-        for k, c in enumerate(num):
-            spread[k * step] = c
+        table = _power_table(conductor)
+        out = [0] * len(table[0])
+        for k, c in enumerate(self.num):
+            if c:
+                for i, r in enumerate(table[k * step]):
+                    out[i] += c * r
         # canonical still: see the direct-summand argument in the docstring
-        return _exact(conductor, _reduce(conductor, spread), self.den)
+        return _exact(conductor, tuple(out), self.den)
 
     def _common(self, other: CyclotomicScalar):
         if self.conductor == other.conductor:
@@ -237,9 +226,7 @@ class CyclotomicScalar:
 
     def __add__(self, other):
         if other.__class__ is not CyclotomicScalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         a, b = self._common(other)
         da, db = a.den, b.den
         if da == db:
@@ -253,22 +240,13 @@ class CyclotomicScalar:
         return _exact(self.conductor, tuple([-n for n in self.num]), self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not CyclotomicScalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if other.__class__ is not CyclotomicScalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         a, b = self._common(other)
         m = a.conductor
         return _canon(m, _mul_reduced(m, a.num, b.num), a.den * b.den)
@@ -276,56 +254,50 @@ class CyclotomicScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> CyclotomicScalar:
+        """The inverse through the field norm.
+
+        For x != 0 in Q(zeta_m) the norm N(x) = prod_{k in (Z/mZ)^*}
+        sigma_k(x), with sigma_k the automorphism zeta_m -> zeta_m^k, is a
+        nonzero rational (Washington, Introduction to Cyclotomic Fields,
+        1997, ch. 2).  So with y = prod_{k != 1} sigma_k(num), num * y is
+        the integer N(num), and (num / den)^-1 = den * y / N(num).  Each
+        sigma_k(num) = sum_i num[i] zeta_m^(i*k mod m) is a sum of rows of
+        the power table, so the whole inverse is int arithmetic.  For
+        phi(m) > 1 the embeddings pair off with their complex conjugates
+        (sigma_{-k} = conj . sigma_k), so N(num), a product of the
+        |sigma_k(num)|^2, is positive and is the denominator as it stands.
+        """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         m, num, den = self.conductor, self.num, self.den
         if len(num) == 1:
             n = num[0]
             return _exact(m, (den,), n) if n > 0 else _exact(m, (-den,), -n)
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        # extended Euclid in Q[x]: s*a + t*Phi = gcd, gcd constant
-        r0, r1 = phi_poly, [Fraction(n) for n in num]
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(_poly_trim(r0)) != 1:
+        table = _power_table(m)
+        y = None
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = [0] * len(num)
+                for i, c in enumerate(num):
+                    if c:
+                        for j, r in enumerate(table[i * k % m]):
+                            conj[j] += c * r
+                y = conj if y is None else _mul_reduced(m, y, conj)
+        norm = _mul_reduced(m, num, y)
+        n = norm[0]
+        if n <= 0 or any(norm[1:]):
             raise DivisionByZero("element is not invertible")
-        # (num / den)^-1 = den * s0 / r0[0]
-        c = den / r0[0]
-        return CyclotomicScalar(m, _reduce(m, [x * c for x in s0]))
+        return _canon(m, [den * c for c in y], n)
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not CyclotomicScalar:
             return NotImplemented
         a, b = self._common(other)
         return a * b.inverse()
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CyclotomicScalar.one(self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if other.__class__ is not CyclotomicScalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         a, b = self._common(other)
         return a.num == b.num and a.den == b.den
 
@@ -440,52 +412,3 @@ def _rational(value):
                         f"not {type(value).__name__}")
     return value
 
-
-def _coerce(value):
-    if isinstance(value, CyclotomicScalar):
-        return value
-    try:
-        return CyclotomicScalar.from_rational(value)
-    except TypeError:
-        return NotImplemented
-
-
-# -- rational polynomial helpers (for field inversion) -------------------------
-
-def _poly_trim(p):
-    i = len(p)
-    while i > 0 and not p[i - 1]:
-        i -= 1
-    return p[:i]
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    b = _poly_trim(list(b))
-    q = [_ZERO] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / lead
-        if c:
-            q[k] = c
-            for i, d in enumerate(b):
-                a[k + i] -= c * d
-    return q, _poly_trim(a)

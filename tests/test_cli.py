@@ -114,6 +114,16 @@ _NOT_INTEGER_GROUPS = [
 _NOT_INTEGER_IDS = ["float-order", "bool-order", "string-order",
                     "object-factors", "bool-factor-order", "bool-table",
                     "float-table"]
+# groups above MAX_GROUP_ORDER = 256, refused before any table is built:
+# each once built and decided like any other
+_TOO_LARGE_GROUPS = [
+    {"kind": "cyclic", "n": 257},
+    {"kind": "product", "factors": [{"kind": "cyclic", "n": 16},
+                                    {"kind": "cyclic", "n": 17}]},
+    {"kind": "table", "table": [[(a + b) % 257 for b in range(257)]
+                                for a in range(257)]},
+]
+_TOO_LARGE_IDS = ["large-cyclic", "large-product", "large-table"]
 
 
 @pytest.mark.parametrize("doc, argv, path", [
@@ -132,7 +142,7 @@ _NOT_INTEGER_IDS = ["float-order", "bool-order", "string-order",
     ({**_klein_with_job(_INCLUSION), "version": True}, ["run"], "$.version"),
     ({**_klein_with_job(_INCLUSION), "version": 1.0}, ["run"], "$.version"),
     *[({"group": group, "presentations": {"A": _TRIVIAL}}, ["decide"],
-       "$.group") for group in _NOT_INTEGER_GROUPS],
+       "$.group") for group in _NOT_INTEGER_GROUPS + _TOO_LARGE_GROUPS],
 ])
 def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
                                                         argv, path):
@@ -215,9 +225,10 @@ _DUPLICATE_IMAGE = {**_STRAY_IMAGE,
     (json.dumps(_DUPLICATE_IMAGE), "$.hom.images[1]"),
     *[(json.dumps({**_STRAY_IMAGE,
                    "doc": {**_STRAY_IMAGE["doc"], "group": group}}),
-       "$.doc.group") for group in _NOT_INTEGER_GROUPS],
+       "$.doc.group") for group in _NOT_INTEGER_GROUPS + _TOO_LARGE_GROUPS],
 ], ids=["invalid-json", "top-level-list", "no-doc", "stray-image-key",
-        "duplicate-image-key", *("group-" + i for i in _NOT_INTEGER_IDS)])
+        "duplicate-image-key",
+        *("group-" + i for i in _NOT_INTEGER_IDS + _TOO_LARGE_IDS)])
 def test_verify_rejects_malformed_report_without_traceback(tmp_path, capsys,
                                                            text, path):
     report_path = tmp_path / "report.json"
@@ -276,6 +287,74 @@ def test_verify_rejects_scalars_that_are_not_written_exactly(tmp_path, capsys,
 
 
 _KLEIN = str(FIXTURES / "klein_twisted.json")
+
+
+def _klein_edited(edit):
+    """The klein_twisted fixture after `edit(doc)`."""
+    doc = json.loads((FIXTURES / "klein_twisted.json").read_text())
+    edit(doc)
+    return doc
+
+
+def _append(items, value):
+    items.append(value)
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d["presentations"]["A"]["s"].update(entries=[True, 0.9, "1"]),
+     "$.presentations.A"),
+    (lambda d: d["presentations"]["A"]["H"].update(elements=[0, 1, 2, 3.0]),
+     "$.presentations.A"),
+    (lambda d: d["presentations"]["A"]["alpha"]["subgroup"].update(
+        elements=["0", 1, 2, 3]), "$.presentations.A"),
+    (lambda d: _append(d["presentations"]["A"]["alpha"]["values"],
+                       ["garbage"]), "$.presentations.A"),
+    (lambda d: _append(d["presentations"]["A"]["alpha"]["values"][0],
+                       "garbage"), "$.presentations.A"),
+    (lambda d: d["cocycles"]["twist"]["subgroup"].update(
+        elements=[False, 1, 2, 3]), "$.cocycles.twist"),
+    (lambda d: _append(d["cocycles"]["twist"]["values"], ["garbage"]),
+     "$.cocycles.twist"),
+], ids=["tuple-entries", "subgroup-elements", "cocycle-subgroup-elements",
+        "extra-values-row", "long-values-row", "named-cocycle-elements",
+        "named-cocycle-extra-row"])
+def test_doc_rejects_group_elements_and_tables_that_are_not_exact(
+        tmp_path, capsys, edit, path):
+    """A group element must be a JSON integer, not a value int() reads as
+    one, and a cocycle table exactly |H| rows of |H| values; each of these
+    documents once decided with exit 0."""
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(_klein_edited(edit)))
+    assert main(["decide", str(doc_path), "--a", "A", "--b", "B2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {path}: " in err
+
+
+@pytest.mark.parametrize("where, rewrite", [
+    ("image", lambda key: [True, 0.0, 0.0]),
+    ("image", lambda key: [float(x) for x in key]),
+    ("term", lambda key: [x if x > 1 else bool(x) for x in key]),
+    ("term", lambda key: [float(x) for x in key]),
+], ids=["bool-image-key", "float-image-key", "bool-term-key",
+        "float-term-key"])
+def test_verify_rejects_basis_keys_that_are_not_integers(tmp_path, capsys,
+                                                         where, rewrite):
+    """A construct report whose key (1, 0, 0), or a term key of its image,
+    is rewritten as values equal to those integers is refused at its path;
+    each was once read as the original key and certified."""
+    assert main(["construct", _KLEIN, "--a", "A", "--b", "B2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    n, entry = next((n, e) for n, e in enumerate(report["hom"]["images"])
+                    if e["key"] == [1, 0, 0])
+    held = entry if where == "image" else entry["terms"][0]
+    held["key"] = rewrite(held["key"])
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: $.hom.images[{n}]: " in err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -455,6 +534,16 @@ def test_fixture_reports_are_byte_identical(tmp_path, capsys, argv, code,
         assert main(["verify", str(report_path)]) == 0
         verified = capsys.readouterr().out
         assert hashlib.sha256(verified.encode()).hexdigest() == verify_digest
+
+
+def test_corpus_report_is_byte_identical(capsys, monkeypatch):
+    """The stdout bytes of the 220-instance corpus run are pinned by a
+    digest, recorded before the scalar core became integer-only."""
+    monkeypatch.delenv("GRADALG_BUDGET", raising=False)
+    assert main(["corpus-run", "--seed", "20250809", "--count", "220"]) == 0
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "f4676be410d18235c66b7f3755ad2ba0ffe1b402e45cbaf40a3b54d31b5bd89e")
 
 
 def test_repeated_calls_share_no_parser_state(capsys, monkeypatch):

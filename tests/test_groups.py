@@ -8,8 +8,8 @@ from gradalg.cocycles import Cocycle
 from gradalg.errors import (MismatchedParent, NotAssociative, NotLatinSquare,
                             NotSubgroup)
 from gradalg.galg import GradedPresentation
-from gradalg.groups import (FiniteGroup, GTuple, Subgroup, build_group,
-                            dihedral_table, group_to_json)
+from gradalg.groups import (MAX_GROUP_ORDER, FiniteGroup, GTuple, Subgroup,
+                            build_group, dihedral_table, group_to_json)
 
 
 def s3_table():
@@ -71,6 +71,27 @@ def test_large_non_associative_table_rejected():
         assert table[table[a][b]][c] == table[a][table[b][c]]
     with pytest.raises(NotAssociative):
         build_group({"kind": "table", "table": table})
+
+
+def test_group_order_is_bounded(monkeypatch):
+    assert MAX_GROUP_ORDER == 256
+    assert build_group({"kind": "cyclic", "n": 256}).order == 256
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    # refused from the specification alone, before any table is built
+    monkeypatch.setattr(FiniteGroup, "cyclic", no_table)
+    monkeypatch.setattr(FiniteGroup, "product", no_table)
+    monkeypatch.setattr(FiniteGroup, "from_table", no_table)
+    cyclic = {"kind": "cyclic", "n": 16}
+    for spec in ({"kind": "cyclic", "n": 257},
+                 {"kind": "product",
+                  "factors": [cyclic, {"kind": "product",
+                                       "factors": [cyclic, cyclic]}]},
+                 {"kind": "table", "table": [[0]] * 257}):
+        with pytest.raises(ValueError, match="exceeds 256"):
+            build_group(spec)
 
 
 def test_cosets_and_transversal(z4):
