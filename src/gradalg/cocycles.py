@@ -3,7 +3,7 @@
 Covers validation and normalization, pointwise combinations, the alternating
 bicharacter and its radical, multiplicative coboundary solving through integer
 exponent systems, and the minimal irreducible representation of an abelian
-twisted group algebra.
+twisted group algebra, whose matrices are monomial and stored as such.
 
 Each fact is checked once: a table becomes a `Cocycle` through
 `verify_and_normalize` (or is the constant table of `Cocycle.trivial`), so
@@ -22,6 +22,7 @@ from .groups import FiniteGroup, GTuple, Subgroup, json_ints
 from .scalars import CyclotomicScalar
 
 ONE = CyclotomicScalar.one()
+ZERO = CyclotomicScalar.zero()
 
 
 class Cocycle:
@@ -149,9 +150,12 @@ class Cocycle:
     @classmethod
     def from_json(cls, group: FiniteGroup, data) -> Cocycle:
         """Read the to_json form: the subgroup's elements JSON integers
-        (see json_ints) and `values` exactly |H| rows of |H| scalars."""
-        sub = Subgroup(group, json_ints(data["subgroup"]["elements"],
-                                        "subgroup.elements"))
+        (see json_ints) in strictly increasing order, and `values` exactly
+        |H| rows of |H| scalars, rows and columns in that order."""
+        elements = json_ints(data["subgroup"]["elements"], "subgroup.elements")
+        if any(x >= y for x, y in zip(elements, elements[1:])):
+            raise ValueError("subgroup.elements must be strictly increasing")
+        sub = Subgroup(group, elements)
         members = sub.sorted_members
         rows, n = data["values"], len(members)
         if not isinstance(rows, list) or len(rows) != n or any(
@@ -269,7 +273,13 @@ def coboundary_solve(alpha: Cocycle) -> dict:
 
 class IrrepData:
     """A verified minimal irreducible representation of a twisted group
-    algebra; `radical` is that of the bicharacter of `cocycle`."""
+    algebra; `radical` is that of the bicharacter of `cocycle`.
+
+    rho(h) is monomial, stored as two d-tuples (rows, coeffs) with
+    rho(h) e_j = coeffs[j] e_{rows[j]}: induced from a character of a
+    maximal isotropic subgroup L, it sends the basis vector of each coset
+    of L to a multiple of that of another (Karpilovsky, Projective
+    Representations of Finite Groups, 1985)."""
 
     def __init__(self, cocycle: Cocycle, dim: int, rho: dict,
                  radical: Subgroup):
@@ -281,25 +291,27 @@ class IrrepData:
 
     def _verify(self):
         """rho(U_e) = 1, rho is alpha-multiplicative, its images span the
-        d x d matrices, and d^2 |Rad| = |H| (Karpilovsky, Projective
-        Representations of Finite Groups, 1985)."""
+        d x d matrices (ranked on the expanded rows), and d^2 |Rad| = |H|.
+        A product of monomials is monomial: (p1, c1)(p2, c2) sends e_j to
+        c1[p2[j]] c2[j] e_{p1[p2[j]]}."""
         sub = self.cocycle.subgroup
         group = sub.parent
         d = self.dim
-        ident = linalg.identity_matrix(d)
-        if self.rho[group.identity] != ident:
+        if self.rho[group.identity] != (tuple(range(d)), (ONE,) * d):
             raise ArithmeticError("rho(U_e) is not the identity matrix")
         for g in sub:
+            p1, c1 = self.rho[g]
             for h in sub:
-                lhs = linalg.mat_mul(self.rho[g], self.rho[h])
+                p2, c2 = self.rho[h]
+                p3, c3 = self.rho[group.table[g][h]]
                 scale = self.cocycle.values[(g, h)]
-                rhs = [[scale * c for c in row]
-                       for row in self.rho[group.table[g][h]]]
-                if lhs != rhs:
+                if any(p1[p2[j]] != p3[j] or c1[p2[j]] * c2[j] != scale * c3[j]
+                       for j in range(d)):
                     raise ArithmeticError(
                         f"rho is not alpha-multiplicative at ({g},{h})")
-        vectors = [[m[i][j] for i in range(d) for j in range(d)]
-                   for m in self.rho.values()]
+        vectors = [[coeffs[j] if rows[j] == i else ZERO
+                    for i in range(d) for j in range(d)]
+                   for rows, coeffs in self.rho.values()]
         if linalg.rank(vectors, d * d) != d * d:
             raise ArithmeticError("matrix images do not span a full matrix algebra")
         if d * d * self.radical.order != sub.order:
@@ -311,8 +323,8 @@ def smallest_irrep(gamma: Cocycle) -> IrrepData:
 
     A maximal isotropic subgroup L for the bicharacter is grown greedily from
     the radical; the splitting on L induces the representation on the coset
-    basis of L in H.  `IrrepData` checks d against the radical of the one
-    bicharacter built here.
+    basis of L in H, as monomial matrices.  `IrrepData` checks d against the
+    radical of the one bicharacter built here.
     """
     sub = gamma.subgroup
     group = sub.parent
@@ -326,24 +338,21 @@ def smallest_irrep(gamma: Cocycle) -> IrrepData:
     isotropic = group._interned(iso)
     mu = coboundary_solve(gamma.restrict(isotropic))
 
-    transversal = isotropic.transversal(within=sub)
-    reps = list(transversal.entries)
+    reps = isotropic.transversal(within=sub).entries
     pos = {w: i for i, w in enumerate(reps)}
-    d = len(reps)
-    zero = CyclotomicScalar.zero()
     rho = {}
     for h in sub:
-        mat = [[zero] * d for _ in range(d)]
-        for j, w in enumerate(reps):
+        rows, coeffs = [], []
+        for w in reps:
             hw = group.table[h][w]
             wp = isotropic.coset_rep(hw)
             # hw = wp * l with l in L; the splitting absorbs the L part
             l = group.table[group.inverses[wp]][hw]
-            coeff = (gamma.values[(h, w)]
-                     * gamma.values[(wp, l)].inverse() * mu[l])
-            mat[pos[wp]][j] = coeff
-        rho[h] = mat
-    return IrrepData(gamma, d, rho, beta.radical)
+            rows.append(pos[wp])
+            coeffs.append(gamma.values[(h, w)]
+                          * gamma.values[(wp, l)].inverse() * mu[l])
+        rho[h] = (tuple(rows), tuple(coeffs))
+    return IrrepData(gamma, len(reps), rho, beta.radical)
 
 
 def transversal_normalize(alpha: Cocycle, h_sub: Subgroup, transversal: GTuple):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cocycles import smallest_irrep, transversal_normalize
+from .cocycles import Cocycle, smallest_irrep, transversal_normalize
 from .errors import (DecisionFalse, ElementOutsideGroup, MismatchedParent,
                      NonAbelianUnsupported, NotSameCoset, NotTransversal,
                      VerificationFailed)
@@ -266,12 +266,14 @@ def _placement(b: GradedPresentation, shift: int, pattern: GTuple,
     return place
 
 
-def _rho_map(x: GradedPresentation, y: GradedPresentation) -> GradedHom:
-    """(h,0,0) -> sum_{u,v} rho(h)[u][v] (h,u,v), from x = (H, alpha, (e))
-    into y = (N, beta, (e)^d), with rho the minimal projective
+def _rho_terms(gamma: Cocycle, beta: Cocycle, d: int) -> dict:
+    """For each h in H, the triples (u, v, rho(h)[u][v]) of the nonzero
+    entries of rho(h), row by row, with rho the minimal projective
     representation of gamma = alpha / beta|H.
 
-    In y, (h,u,v)(h',v,w) = beta(h,h') (hh',u,w), and a product whose inner
+    They are the images of the map (h,0,0) -> sum_{u,v} rho(h)[u][v] (h,u,v)
+    from x = (H, alpha, (e)) into y = (N, beta, (e)^d).  In y,
+    (h,u,v)(h',v,w) = beta(h,h') (hh',u,w), and a product whose inner
     indices differ is 0.  So the images multiply to
     beta(h,h') sum_{u,w} (rho(h) rho(h'))[u][w] (hh',u,w)
     = beta(h,h') gamma(h,h') phi(hh') = alpha(h,h') phi(hh'),
@@ -280,12 +282,12 @@ def _rho_map(x: GradedPresentation, y: GradedPresentation) -> GradedHom:
     invertible, so the images are nonzero and lie in distinct components:
     the map is an injective graded homomorphism.
     """
-    e = x.group.identity
-    beta = y.alpha.values
-    rep = smallest_irrep(x.alpha.ratio(y.alpha.restrict(x.H)))
-    if rep.dim != y.r:
+    beta = beta.values
+    rep = smallest_irrep(gamma)
+    if rep.dim != d:
         raise VerificationFailed("matrix block does not match the minimal "
                                  "representation dimension")
+    e = gamma.subgroup.parent.identity
     # Each coefficient carries the conductor of root^2 / (beta(e,h) beta(h,e))
     # with root = beta(e,e).sqrt_root_of_unity(), the unit by which the
     # cocycle twist of both sides scales this map.  The unit is 1 for a
@@ -293,16 +295,14 @@ def _rho_map(x: GradedPresentation, y: GradedPresentation) -> GradedHom:
     # (zeta_4^0 when beta(e,e) has conductor 1), and to_json prints the
     # conductor unreduced; keeping it keeps reports byte-identical.
     root = beta[(e, e)].sqrt_root_of_unity().conductor
-    images = {}
-    for h in x.H:
+    terms = {}
+    for h in gamma.subgroup:
         pad = CyclotomicScalar.one(lcm(root, beta[(e, h)].conductor,
                                        beta[(h, e)].conductor))
-        mat = rep.rho[h]
-        images[(h, 0, 0)] = y.element({
-            (h, u, v): mat[u][v] * pad
-            for u in range(rep.dim) for v in range(rep.dim)
-            if not mat[u][v].is_zero()})
-    return GradedHom(x, y, images)
+        rows, coeffs = rep.rho[h]
+        terms[h] = [(rows[v], v, coeffs[v] * pad)
+                    for v in sorted(range(d), key=rows.__getitem__)]
+    return terms
 
 
 def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
@@ -325,10 +325,8 @@ def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
     alpha_t, c = transversal_normalize(a.alpha, h_sub, t1)
 
     # minimal-representation embedding of the intersection part
-    x = GradedPresentation(group, h_sub, alpha_t.restrict(h_sub),
-                           GTuple.const(group, 1))
-    y = GradedPresentation(group, n2, b.alpha, GTuple.const(group, d))
-    rho = _rho_map(x, y).images
+    rho = _rho_terms(alpha_t.restrict(h_sub).ratio(b.alpha.restrict(h_sub)),
+                     b.alpha, d)
 
     # spread over the transversal by the right regular action, extend over
     # the matrix part, and place each key into b
@@ -349,8 +347,8 @@ def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
                 for w in t1:
                     h_w, w2 = action[w]
                     coeff0 = c_inv * alpha_t.values[(w, n)]
-                    for (m, u, v), sc in rho[(h_w, 0, 0)].terms.items():
-                        key, val = place(m, flat(u, w_index[w], i),
+                    for u, v, sc in rho[h_w]:
+                        key, val = place(h_w, flat(u, w_index[w], i),
                                          flat(v, w_index[w2], j), coeff0 * sc)
                         terms[key] = val
                 images[(n, i, j)] = b.element(terms)
@@ -387,22 +385,28 @@ def _construct_elementary(a: GradedPresentation, b: GradedPresentation,
     return GradedHom(a, b, images)
 
 
+def _build(a: GradedPresentation, b: GradedPresentation,
+           decision: EmbedDecision) -> GradedHom:
+    """The embedding promised by a true decision, each image written
+    straight into b, not yet certified."""
+    if not decision.verdict:
+        raise DecisionFalse("construction requires a true decision")
+    if a.same_data(b):
+        return GradedHom(a, b, {k: b.basis_element(k) for k in a.basis_keys()})
+    if decision.case == "elementary_nonabelian":
+        return _construct_elementary(a, b, decision)
+    return _construct_abelian(a, b, decision)
+
+
 def construct(a: GradedPresentation, b: GradedPresentation,
               decision: EmbedDecision) -> GradedHom:
     """Build and certify the embedding promised by a true decision.
 
-    Each image is written straight into b.  The returned map is certified
-    here, once, by verify_hom, and the HomCertificate is stored on it as
-    `hom.certificate`.  Raises VerificationFailed if the certificate fails.
+    The map comes from _build.  It is certified here, once, by verify_hom,
+    and the HomCertificate is stored on it as `hom.certificate`.  Raises
+    VerificationFailed if the certificate fails.
     """
-    if not decision.verdict:
-        raise DecisionFalse("construction requires a true decision")
-    if a.same_data(b):
-        hom = GradedHom(a, b, {k: b.basis_element(k) for k in a.basis_keys()})
-    elif decision.case == "elementary_nonabelian":
-        hom = _construct_elementary(a, b, decision)
-    else:
-        hom = _construct_abelian(a, b, decision)
+    hom = _build(a, b, decision)
     cert = verify_hom(hom)
     if not cert.is_embedding:
         raise VerificationFailed(f"constructed map failed certification: {cert!r}")

@@ -2,10 +2,10 @@
 
 The central object is a presentation of a graded-simple algebra: a twisted
 group algebra tensored with a matrix algebra carrying an elementary grading.
-Raw structure-constant algebras and direct sums implement the same small
-protocol (dim, basis_keys, basis_degree, mul_basis, component,
-generating_keys) so that envelopes, identity sweeps and homomorphism checks
-work uniformly.
+Structure-constant algebras and direct sums (DirectSumAlgebra, the one
+direct-sum type) implement the same small protocol (dim, basis_keys,
+basis_degree, mul_basis, component, generating_keys) so that envelopes,
+identity sweeps and homomorphism checks work uniformly.
 """
 
 from __future__ import annotations
@@ -342,10 +342,6 @@ class DirectSumAlgebra(_AlgebraBase):
                 return None
             terms.update({(ci, k): v for k, v in part.items()})
         return terms
-
-    def inject(self, ci: int, element: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self, {(ci, k): v
-                                     for k, v in element.terms.items()})
 
 
 # -- homomorphisms -------------------------------------------------------------

@@ -157,18 +157,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverses[a], -k)
-        result = self.identity
-        base = a
-        while k:
-            if k & 1:
-                result = self.table[result][base]
-            base = self.table[base][base]
-            k >>= 1
-        return result
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:

@@ -190,11 +190,11 @@ def _word_trie(words) -> tuple:
         for v in word[:-1]:
             node = node.setdefault(v, [None, {}])[1]
         node.setdefault(word[-1], [None, {}])[0] = widx
+    return _freeze(root)
 
-    def freeze(node):
-        return tuple((v, widx, freeze(child))
-                     for v, (widx, child) in node.items())
-    return freeze(root)
+
+def _freeze(node) -> tuple:
+    return tuple((v, widx, _freeze(child)) for v, (widx, child) in node.items())
 
 
 def _word_values(algebra, keys, trie) -> list:
@@ -209,29 +209,31 @@ def _word_values(algebra, keys, trie) -> list:
     """
     mul = algebra.mul_basis
     out = []
-
-    def walk(node, cur):
-        for v, widx, child in node:
-            k2 = keys[v]
-            nxt: dict = {}
-            for k, s in cur.items():
-                for kk, vv in mul(k, k2).items():
-                    acc = vv if s is ONE else s * vv
-                    nxt[kk] = nxt[kk] + acc if kk in nxt else acc
-            nxt = {k: s for k, s in nxt.items() if not s.is_zero()}
-            if nxt:
-                if widx is not None:
-                    out.append((widx, nxt))
-                if child:
-                    walk(child, nxt)
-
     for v, widx, child in trie:
         cur = {keys[v]: ONE}
         if widx is not None:
             out.append((widx, cur))
         if child:
-            walk(child, cur)
+            _walk(child, cur, keys, mul, out)
     return out
+
+
+def _walk(node, cur, keys, mul, out):
+    """One level of _word_values' walk; not a closure, so a sweep leaves
+    no reference cycle behind."""
+    for v, widx, child in node:
+        k2 = keys[v]
+        nxt: dict = {}
+        for k, s in cur.items():
+            for kk, vv in mul(k, k2).items():
+                acc = vv if s is ONE else s * vv
+                nxt[kk] = nxt[kk] + acc if kk in nxt else acc
+        nxt = {k: s for k, s in nxt.items() if not s.is_zero()}
+        if nxt:
+            if widx is not None:
+                out.append((widx, nxt))
+            if child:
+                _walk(child, nxt, keys, mul, out)
 
 
 def _poly_trie(poly: MultilinearPoly):

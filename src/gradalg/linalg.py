@@ -1,4 +1,5 @@
-"""Exact linear algebra over cyclotomic scalars, plus integer Smith form."""
+"""Exact row reduction over cyclotomic scalars (Echelon, rank, kernels,
+invert_matrix), plus integer Smith form and solving modulo an integer."""
 
 from __future__ import annotations
 
@@ -81,13 +82,6 @@ def rank(rows, ncols: int) -> int:
     return ech.rank
 
 
-def kernel(rows, ncols: int) -> list[list[CyclotomicScalar]]:
-    ech = Echelon(ncols)
-    for row in rows:
-        ech.add_row(row)
-    return ech.kernel_basis()
-
-
 def invert_matrix(mat: list[list[CyclotomicScalar]]) -> list[list[CyclotomicScalar]]:
     """Inverse of a square matrix by exact Gauss-Jordan elimination.
 
@@ -108,24 +102,6 @@ def invert_matrix(mat: list[list[CyclotomicScalar]]) -> list[list[CyclotomicScal
                 c = aug[r][col]
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def mat_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(mid):
-            c = a[i][k]
-            if c.is_zero():
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + c * b[k][j]
-    return out
-
-
-def identity_matrix(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 # -- integer Smith normal form and modular solving -----------------------------

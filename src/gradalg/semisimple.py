@@ -1,47 +1,22 @@
 """Direct sums of graded-simple presentations and embeddings into powers.
 
-Identity-ideal inclusion between simple components is decided by the
-embedding criterion; a minimal set drops components whose identities are
-implied by another's; the power embedding assigns each source component a
-(copy, component) slot of the replicated target via capacitated matching.
+A direct sum has one type, galg.DirectSumAlgebra, which
+SemisimplePresentation names.  Identity-ideal inclusion between simple
+components is decided by the embedding criterion; a minimal set drops
+components whose identities are implied by another's; the power embedding
+assigns each source component a (copy, component) slot of the replicated
+target via capacitated matching.
 """
 
 from __future__ import annotations
 
-from .embed import construct, decide
-from .errors import MismatchedParent, NoMatch, VerificationFailed
+from .embed import _build, decide
+from .errors import NoMatch, VerificationFailed
 from .galg import (DirectSumAlgebra, GradedHom, GradedPresentation,
                    verify_hom)
 
 
-class SemisimplePresentation:
-    """A direct sum of graded-simple presentations over one ambient group."""
-
-    def __init__(self, components: list[GradedPresentation]):
-        if not components:
-            raise ValueError("at least one component required")
-        group = components[0].group
-        for c in components:
-            if c.group is not group:
-                raise MismatchedParent("components over different groups")
-        self.group = group
-        self.components = list(components)
-
-    @property
-    def dim(self) -> int:
-        return sum(c.dim for c in self.components)
-
-    def support(self) -> set:
-        out = set()
-        for c in self.components:
-            out |= c.support()
-        return out
-
-    def algebra(self) -> DirectSumAlgebra:
-        return DirectSumAlgebra(self.components)
-
-    def to_json(self):
-        return {"components": [c.to_json() for c in self.components]}
+SemisimplePresentation = DirectSumAlgebra
 
 
 def pair_inclusion(a_i: GradedPresentation, b_j: GradedPresentation) -> bool:
@@ -77,7 +52,7 @@ def minimal_set(components: list[GradedPresentation]):
     return [components[i] for i in kept], log
 
 
-def match_components(a: SemisimplePresentation, b: SemisimplePresentation):
+def match_components(a: DirectSumAlgebra, b: DirectSumAlgebra):
     """For each source component the least target component whose identities
     it absorbs; None marks an unmatched component."""
     tau = []
@@ -120,12 +95,15 @@ def _feasible_assignment(candidates: list[list[int]], m: int, copies: int):
     return out
 
 
-def embed_into_power(a: SemisimplePresentation, b: SemisimplePresentation):
+def embed_into_power(a: DirectSumAlgebra, b: DirectSumAlgebra):
     """A certified block-diagonal embedding of a into the N-fold sum of b.
 
     N is the smallest copy count for which every source component gets its
     own (copy, component) slot among admissible targets; the per-pair maps
-    come from the simple construction.
+    come from the simple construction, uncertified, and only the whole map
+    is certified.  That loses nothing: the blocks sit on disjoint source
+    and target components, so a block-diagonal map that is graded,
+    multiplicative and injective is all three on each block.
     """
     decisions = []
     candidates = []
@@ -153,7 +131,6 @@ def embed_into_power(a: SemisimplePresentation, b: SemisimplePresentation):
     if assignment is None:
         raise NoMatch(-1)
 
-    source = a.algebra()
     target_components = [b.components[j] for _ in range(copies)
                          for j in range(m)]
     target = DirectSumAlgebra(target_components)
@@ -162,11 +139,11 @@ def embed_into_power(a: SemisimplePresentation, b: SemisimplePresentation):
     for i, a_i in enumerate(a.components):
         copy_idx, j = assignment[i]
         slot = copy_idx * m + j
-        hom = construct(a_i, b.components[j], decisions[i][j])
+        hom = _build(a_i, b.components[j], decisions[i][j])
         for key, img in hom.images.items():
             images[(i, key)] = target.element(
                 {(slot, kk): v for kk, v in img.terms.items()})
-    total = GradedHom(source, target, images)
+    total = GradedHom(a, target, images)
     cert = verify_hom(total)
     if not cert.is_embedding:
         raise VerificationFailed("power embedding failed certification")

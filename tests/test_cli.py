@@ -331,6 +331,32 @@ def test_doc_rejects_group_elements_and_tables_that_are_not_exact(
     assert f"error: {path}: " in err
 
 
+def _reorder_cocycle(cocycle, order):
+    """List the cocycle's elements in `order`, its table written to match."""
+    rows = cocycle["values"]
+    cocycle["subgroup"]["elements"] = order
+    cocycle["values"] = [[rows[a][b] for b in order] for a in order]
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: _reorder_cocycle(d["presentations"]["A"]["alpha"],
+                                [0, 2, 1, 3]), "$.presentations.A"),
+    (lambda d: d["cocycles"]["twist"]["subgroup"].update(
+        elements=[0, 1, 1, 2, 3]), "$.cocycles.twist"),
+], ids=["reordered-elements", "duplicate-elements"])
+def test_doc_rejects_cocycle_elements_out_of_order(tmp_path, capsys, edit,
+                                                   path):
+    """A table's rows and columns are read in increasing element order, so
+    its elements must be listed strictly increasing; the reordered table
+    once parsed and read alpha(1,2) as -1 where 1 was written."""
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(_klein_edited(edit)))
+    assert main(["decide", str(doc_path), "--a", "A", "--b", "B2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {path}: " in err
+
+
 @pytest.mark.parametrize("where, rewrite", [
     ("image", lambda key: [True, 0.0, 0.0]),
     ("image", lambda key: [float(x) for x in key]),

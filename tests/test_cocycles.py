@@ -1,5 +1,7 @@
 """Cocycle validation, bicharacters, splittings and minimal representations."""
 
+import hashlib
+import json
 import random
 from math import gcd, lcm
 
@@ -11,6 +13,7 @@ from gradalg.cocycles import (Bicharacter, Cocycle, abelian_basis,
                               smallest_irrep, transversal_normalize)
 from gradalg.errors import CocycleIdentityViolated, NotSymmetric
 from gradalg.groups import FiniteGroup, GTuple, Subgroup
+from gradalg.linalg import rank
 from gradalg.scalars import CyclotomicScalar as C
 
 ONE = C.one()
@@ -201,6 +204,76 @@ def test_coboundary_solve_single_modulus(klein, z4):
     assert solved == 3 * (5 + 4 + 3 + 4)
 
 
+def _dense(rep, h):
+    """rho(h) as a d x d matrix: column j holds coeffs[j] in row rows[j],
+    zeros elsewhere.  A dense matrix is its own expansion."""
+    m = rep.rho[h]
+    if isinstance(m, list):
+        return m
+    rows, coeffs = m
+    mat = [[C.zero()] * rep.dim for _ in range(rep.dim)]
+    for j, (i, c) in enumerate(zip(rows, coeffs)):
+        mat[i][j] = c
+    return mat
+
+
+def _mat_mul(a, b):
+    n = len(b)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), C.zero())
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _dense_checks(rep):
+    """The four facts IrrepData certifies, checked on dense matrices: rho(e)
+    is the identity, rho is alpha-multiplicative, its images span the d x d
+    matrices, and d^2 |Rad| = |H|."""
+    alpha, d = rep.cocycle, rep.dim
+    sub = alpha.subgroup
+    group = sub.parent
+    assert _dense(rep, group.identity) == \
+        [[C.one() if i == j else C.zero() for j in range(d)] for i in range(d)]
+    for g in sub:
+        for h in sub:
+            scale = alpha.values[(g, h)]
+            assert _mat_mul(_dense(rep, g), _dense(rep, h)) == \
+                [[scale * c for c in row]
+                 for row in _dense(rep, group.table[g][h])]
+    vectors = [[c for row in _dense(rep, h) for c in row] for h in sub]
+    assert rank(vectors, d * d) == d * d
+    assert d * d * alpha.bicharacter().radical.order == sub.order
+
+
+def _restricted_irreps():
+    """(factors, subgroup, IrrepData) for every class on Z2xZ2, Z4, Z6,
+    Z2xZ4 and Z3xZ3, restricted to every subgroup; Z3xZ3 gives rho a
+    3-cycle."""
+    for factors in ([2, 2], [4], [6], [2, 4], [3, 3]):
+        group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in factors])
+        for alpha in enumerate_cocycle_classes(group.full_subgroup()):
+            for sub in group.all_subgroups():
+                yield factors, sub, smallest_irrep(alpha.restrict(sub))
+
+
+def test_smallest_irrep_matches_dense_oracle():
+    dims = []
+    for _, _, rep in _restricted_irreps():
+        _dense_checks(rep)
+        dims.append(rep.dim)
+    assert len(dims) == 51 and dims.count(2) == 2 and dims.count(3) == 2
+
+
+def test_smallest_irrep_expansion_is_pinned():
+    """The expanded matrices, conductors included, as smallest_irrep built
+    them when it still stored rho densely."""
+    doc = [[factors, sub.sorted_members, rep.dim,
+            [[[c.to_json() for c in row] for row in _dense(rep, h)]
+             for h in sub.sorted_members]]
+           for factors, sub, rep in _restricted_irreps()]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == \
+        "26943ff1a513842f75a29f5700b0a8cd6d9c5c3a3aca3e5e7955e288ba331460"
+
+
 def test_smallest_irrep_trivial(z4):
     data = smallest_irrep(Cocycle.trivial(z4.full_subgroup()))
     assert data.dim == 1
@@ -211,9 +284,8 @@ def test_smallest_irrep_klein(klein):
     assert data.dim == 2
     # anticommuting generator images
     a_el, b_el = 2, 1
-    import gradalg.linalg as linalg
-    ab = linalg.mat_mul(data.rho[a_el], data.rho[b_el])
-    ba = linalg.mat_mul(data.rho[b_el], data.rho[a_el])
+    ab = _mat_mul(_dense(data, a_el), _dense(data, b_el))
+    ba = _mat_mul(_dense(data, b_el), _dense(data, a_el))
     assert ab == [[c * MINUS for c in row] for row in ba]
 
 

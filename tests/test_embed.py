@@ -17,7 +17,7 @@ from gradalg.embed import (construct, decide, decide_part1, decide_part2,
 from gradalg.errors import (DecisionFalse, ElementOutsideGroup,
                             MismatchedParent, NonAbelianUnsupported,
                             NotSameCoset)
-from gradalg.galg import GradedPresentation, verify_hom
+from gradalg.galg import GradedHom, GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
 from gradalg.scalars import CyclotomicScalar as C
 from gradalg.tuples import CosetMultiset, exists_shift, subsume_mod
@@ -94,7 +94,13 @@ def test_rho_map_certifies_on_every_subgroup_pair(klein, z4):
                         y = GradedPresentation(group, n, beta,
                                                GTuple.const(group, d))
                         assert decide(x, y).verdict
-                        assert verify_hom(embed._rho_map(x, y)).is_embedding
+                        terms = embed._rho_terms(alpha.ratio(beta.restrict(h)),
+                                                 beta, d)
+                        images = {(g, 0, 0): y.element(
+                            {(g, u, v): c for u, v, c in terms[g]})
+                            for g in h}
+                        hom = GradedHom(x, y, images)
+                        assert verify_hom(hom).is_embedding
                         checked += 1
     assert checked == 25
 

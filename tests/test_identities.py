@@ -1,5 +1,6 @@
 """Identity testing, kernels, inclusion and separator construction."""
 
+import gc
 import random
 import sys
 from itertools import combinations_with_replacement
@@ -335,7 +336,10 @@ def test_identity_space_early_exit_matches_full_sweep(monkeypatch, klein,
     for algebra, degrees in cases:
         sp = identity_space(algebra, degrees)
         rows = _evaluation_rows(algebra, degrees, sp.words)
-        full = linalg.kernel(rows, len(sp.words))
+        ech = linalg.Echelon(len(sp.words))
+        for row in rows:
+            ech.add_row(row)
+        full = ech.kernel_basis()
         assert [[(c, c.conductor) for c in vec] for vec in sp.vectors] == \
             [[(c, c.conductor) for c in vec] for vec in full]
         added.clear()
@@ -487,3 +491,18 @@ def test_corpus_checks_a_part1_separator_on_b_once(monkeypatch, klein,
     assert not rec["verdict"]
     assert rec["separator"]["kind"] == "part1"
     assert len(on_b) == 1
+
+
+def test_identity_sweeps_leave_no_reference_cycles():
+    """The trie is built and walked by module-level functions, so a sweep
+    frees everything it made by reference counting alone; self-calling
+    closures once left thousands of objects for the cycle collector."""
+    instances = corpus.generate_corpus(20250809, 6, 40)[:20]
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in instances:
+            identity_space(inst.b, (0, 0, 0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -104,3 +104,11 @@ def test_multi_component_target_spreads_load(block_example):
     bb = SemisimplePresentation([b, b])
     copies, hom, cert = embed_into_power(a, bb)
     assert copies == 1 and cert.is_embedding
+
+
+def test_power_embedding_certifies_once(block_example, sweeps):
+    """Only the whole block-diagonal map is certified, not each block."""
+    _, a1, a2, b = block_example
+    copies, hom, cert = embed_into_power(SemisimplePresentation([a1, a2]),
+                                         SemisimplePresentation([b]))
+    assert sweeps == [hom] and cert.is_embedding
