@@ -17,9 +17,9 @@ from math import gcd
 from . import linalg
 from .errors import (CocycleIdentityViolated, ElementOutsideGroup,
                      MismatchedGroup, NonAbelianGroup, NoSolution,
-                     NotRootOfUnity, NotSubgroup, NotSymmetric, NotTransversal)
+                     NotRootOfUnity, NotSubgroup, NotSymmetric)
 from .groups import FiniteGroup, GTuple, Subgroup, json_ints
-from .scalars import CyclotomicScalar
+from .scalars import CyclotomicScalar, common_conductor
 
 ONE = CyclotomicScalar.one()
 ZERO = CyclotomicScalar.zero()
@@ -230,17 +230,16 @@ def coboundary_solve(alpha: Cocycle) -> dict:
                 raise NotSymmetric(f"alpha({a},{b}) != alpha({b},{a})")
     members = sub.sorted_members
     index = {g: i for i, g in enumerate(members)}
-    orders = []
     logs = {}
+    conductor = 1
     for key, v in alpha.values.items():
         root = v.as_root_of_unity()
         if root is None:
             raise NotRootOfUnity("cocycle value is not a root of unity")
         logs[key] = root
-        orders.append(root[0])
-    M = 1
-    for m in orders:
-        M = M * m // gcd(M, m)
+        conductor = common_conductor(conductor, v.conductor)
+    # each root[0] is lcm(2, v.conductor), so M = lcm(2, conductor) is theirs
+    M = conductor if conductor % 2 == 0 else 2 * conductor
 
     e = sub.parent.identity
     t = sub.parent.table
@@ -353,43 +352,6 @@ def smallest_irrep(gamma: Cocycle) -> IrrepData:
                           * gamma.values[(wp, l)].inverse() * mu[l])
         rho[h] = (tuple(rows), tuple(coeffs))
     return IrrepData(gamma, len(reps), rho, beta.radical)
-
-
-def transversal_normalize(alpha: Cocycle, h_sub: Subgroup, transversal: GTuple):
-    """A cohomologous table with alpha(h, w) = 1 for h in H, w in the transversal.
-
-    The identity must represent its own coset; if the supplied transversal
-    picked another element there, it is swapped for the identity.  Uses the
-    unique factorization n = h*w and sets c(hw) = alpha(h, w); the returned
-    cocycle is alpha * dc, realized on the rescaled basis c(n) U_n.
-    """
-    sub = alpha.subgroup
-    group = sub.parent
-    if not sub.contains_subgroup(h_sub):
-        raise NotSubgroup("H must sit inside the cocycle's subgroup")
-    # check transversal: exactly one representative per right coset of H
-    seen = {}
-    for w in transversal:
-        if w not in sub.members:
-            raise NotTransversal(f"{w} outside subgroup")
-        rep = h_sub.coset_rep(w)
-        if rep in seen:
-            raise NotTransversal(f"two representatives for coset of {rep}")
-        seen[rep] = w
-    if len(seen) * h_sub.order != sub.order:
-        raise NotTransversal("wrong number of coset representatives")
-    reps = [group.identity if w in h_sub.members else w for w in transversal]
-
-    c = {}
-    for h in h_sub:
-        for w in reps:
-            c[group.table[h][w]] = alpha.values[(h, w)]
-    new = alpha.twist_by_coboundary(c)
-    for h in h_sub:
-        for w in reps:
-            if not new.values[(h, w)].is_one():
-                raise ArithmeticError("normalization failed substitution check")
-    return new, c
 
 
 # -- class enumeration on abelian subgroups ------------------------------------

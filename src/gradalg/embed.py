@@ -3,13 +3,16 @@
 The decision reduces to a tuple-subsumption test: intersect the subgroups,
 take the minimal irreducible dimension d of the mixed cocycle on the
 intersection H, and ask whether some shift of the target tuple dominates the
-pattern tuple coset-wise.
+pattern tuple coset-wise.  By the paper's theorem this also decides
+Id_G(B) <= Id_G(A); only this module knows the criterion, and the
+separators of `identities` read their verdicts from it.
 
 The construction follows the proof and writes each image straight into the
 target B = (N2, beta, t).  The source cocycle is normalized along a
 transversal T of H in N1; the intersection part u_h -> u_h (x) rho(h), with
 rho the minimal projective representation of gamma = alpha_t|H / beta|H, is
-spread over T by the right regular action; and each key of the resulting
+spread over T by the right regular action (one factorization n = h * w of N1
+gives both the rescaling and that action); and each key of the resulting
 pattern-shaped block goes into B through one monomial table, set by the
 matched tuple positions and the representative-replacement factors.  For an
 elementary target over a non-abelian group the block is the right regular
@@ -21,9 +24,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cocycles import Cocycle, smallest_irrep, transversal_normalize
-from .errors import (DecisionFalse, ElementOutsideGroup, MismatchedParent,
-                     NonAbelianUnsupported, NotSameCoset, NotTransversal,
+from .cocycles import Cocycle, smallest_irrep
+from .errors import (DecisionFalse, MismatchedParent, NonAbelianUnsupported,
                      VerificationFailed)
 from .galg import GradedHom, GradedPresentation, verify_hom
 from .groups import GTuple, Subgroup
@@ -101,7 +103,7 @@ def decide(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
     if group.abelian:
         return _decide_abelian(a, b)
     if b.H.is_trivial() and b.alpha.is_trivial():
-        return _decide_elementary(a, b)
+        return decide_elementary(a, b)
     raise NonAbelianUnsupported(
         "non-abelian ambient groups are supported only for elementary targets")
 
@@ -117,7 +119,10 @@ def _decide_abelian(a: GradedPresentation, b: GradedPresentation) -> EmbedDecisi
                          transversal, a.s, shift)
 
 
-def _decide_elementary(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
+def decide_elementary(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
+    """For an elementary target b = ({e}, 1, t) over any group: does some
+    shift of t dominate the listed N1 times the source tuple?  The caller
+    checks that b is elementary and shares a's ambient group."""
     group = a.group
     h_bar = GTuple(group, sorted(a.H.members))
     pattern = _pattern("elementary_nonabelian", a.H.order, h_bar, a.s)
@@ -127,8 +132,8 @@ def _decide_elementary(a: GradedPresentation, b: GradedPresentation) -> EmbedDec
 
 
 def decide_part1(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
-    """Fast path for a full-subgroup target: compare tuple lengths against
-    the minimal representation dimension."""
+    """Fast path for a full-subgroup target: r2 >= d * r1, with d the
+    minimal representation dimension."""
     _check_same_ambient(a, b)
     group = a.group
     if not group.abelian:
@@ -166,29 +171,6 @@ def decide_part2(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
 
 
 # -- construction ----------------------------------------------------------------
-
-def transversal_action(n1: Subgroup, h_sub: Subgroup, transversal: GTuple,
-                       g: int):
-    """Factor w*g = h * w' per transversal element; returns {w: (h, w')}."""
-    group = n1.parent
-    if g not in n1.members:
-        raise ElementOutsideGroup(f"{g} outside the acting subgroup")
-    rep_to_w = {}
-    for w in transversal:
-        rep = h_sub.coset_rep(w)
-        if rep in rep_to_w:
-            raise NotTransversal("duplicate coset representative")
-        rep_to_w[rep] = w
-    out = {}
-    for w in transversal:
-        wg = group.table[w][g]
-        w2 = rep_to_w[h_sub.coset_rep(wg)]
-        h = group.table[wg][group.inverses[w2]]
-        if h not in h_sub.members:
-            raise NotTransversal("factorization left the subgroup")
-        out[w] = (h, w2)
-    return out
-
 
 def _match_pattern_positions(target: GTuple, pattern: GTuple,
                              modulo: Subgroup) -> list[int]:
@@ -236,8 +218,6 @@ def _placement(b: GradedPresentation, shift: int, pattern: GTuple,
     for k, p in enumerate(pattern):
         s_k = entries[positions[k]]
         if s_k != p:
-            if modulo.coset_rep(s_k) != modulo.coset_rep(p):
-                raise NotSameCoset(f"{s_k} and {p} lie in different cosets")
             h_of[k] = t[s_k][inv[p]]
 
     def place(m, p, q, coeff):
@@ -305,8 +285,22 @@ def _rho_terms(gamma: Cocycle, beta: Cocycle, d: int) -> dict:
     return terms
 
 
+def _transversal_split(alpha: Cocycle, h_sub: Subgroup, t1: GTuple):
+    """split[n] = (h, w) with n = h * w, h in H and w in t1, for each n in
+    N1, and the rescaling c(h * w) = alpha(h, w)."""
+    table = h_sub.parent.table
+    split = {table[h][w]: (h, w) for h in h_sub for w in t1}
+    return split, {n: alpha.values[hw] for n, hw in split.items()}
+
+
 def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
                        decision: EmbedDecision) -> GradedHom:
+    """The basis v_n = c(n) u_n, c(h * w) = alpha(h, w), multiplies by
+    alpha_t = alpha * dc, and alpha_t(h, w) = alpha(h, w) c(h) c(w) / c(hw)
+    = 1 for h in H, w in t1: c(h) = alpha(h, e) = 1 and c(w) = alpha(e, w)
+    = 1, as alpha is normalized and e represents its own coset.  With
+    w * n = h * w', v_n moves block w to block w' through rho(h), and u_n
+    goes to c(n)^-1 times the image of v_n."""
     group = a.group
     n1, n2 = a.H, b.H
     h_sub = decision.h_sub
@@ -318,11 +312,8 @@ def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
     t1 = GTuple(group, [group.identity if w in h_sub.members else w
                         for w in t1_raw])
     place = _placement(b, decision.shift, _pattern("part23", d, t1, a.s), n2)
-
-    # normalize the source cocycle along the transversal: the basis
-    # v_n = c(n) u_n multiplies by alpha_t, so u_n goes to c(n)^-1 times the
-    # image of v_n
-    alpha_t, c = transversal_normalize(a.alpha, h_sub, t1)
+    split, c = _transversal_split(a.alpha, h_sub, t1)
+    alpha_t = a.alpha.twist_by_coboundary(c)
 
     # minimal-representation embedding of the intersection part
     rho = _rho_terms(alpha_t.restrict(h_sub).ratio(b.alpha.restrict(h_sub)),
@@ -339,13 +330,12 @@ def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
 
     images = {}
     for n in n1:
-        action = transversal_action(n1, h_sub, t1, n)
         c_inv = c[n].inverse()
         for i in range(r):
             for j in range(r):
                 terms = {}
                 for w in t1:
-                    h_w, w2 = action[w]
+                    h_w, w2 = split[group.table[w][n]]
                     coeff0 = c_inv * alpha_t.values[(w, n)]
                     for u, v, sc in rho[h_w]:
                         key, val = place(h_w, flat(u, w_index[w], i),

@@ -11,9 +11,10 @@ it.
 from __future__ import annotations
 
 from .cocycles import Cocycle
-from .errors import MismatchedGroup
+from .errors import DegreeOutsideGroup, MismatchedGroup
 from .galg import GradedHom, GradedPresentation, _AlgebraBase
 from .groups import GTuple
+from .identities import MultilinearPoly
 
 
 class EnvelopeCarrier(_AlgebraBase):
@@ -131,11 +132,9 @@ def round_trip_iso(b: GradedPresentation, alpha: Cocycle):
 def falpha(poly, alpha: Cocycle):
     """Rescale a multilinear polynomial's coefficients by iterated cocycle
     values of its permuted multidegree."""
-    from .identities import MultilinearPoly
     group = poly.group
     for g in poly.degrees:
         if g not in alpha.subgroup.members:
-            from .errors import DegreeOutsideGroup
             raise DegreeOutsideGroup("multidegree leaves the cocycle domain")
     coeffs = {}
     for word, c in poly.coeffs.items():

@@ -19,6 +19,10 @@ class NotRootOfUnity(GradAlgError):
     pass
 
 
+class ConductorTooLarge(GradAlgError):
+    pass
+
+
 # -- groups ----------------------------------------------------------------
 
 class NotLatinSquare(GradAlgError):
@@ -42,10 +46,6 @@ class NotSubgroup(GradAlgError):
 
 
 class ElementOutsideGroup(GradAlgError):
-    pass
-
-
-class NotTransversal(GradAlgError):
     pass
 
 
@@ -74,10 +74,6 @@ class NoSolution(GradAlgError):
 
 
 # -- graded algebras ---------------------------------------------------------
-
-class NotSameCoset(GradAlgError):
-    pass
-
 
 class DegreeOutsideGroup(GradAlgError):
     pass

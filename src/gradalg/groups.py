@@ -415,6 +415,14 @@ class GTuple:
 # memory.  The corpus and the fixtures use orders of at most 12.
 MAX_GROUP_ORDER = 256
 
+# The largest conductor a document may write a value at, and the largest
+# lcm at which two values in fields that do not nest may meet
+# (scalars.common_conductor): 251 and 241 would meet at 60,491.  A value's
+# root-of-unity test builds at most the table at 1,018 (m = 509): 4.2 MB,
+# 0.06 s on CPython 3.11.  Derived conductors (coboundary_solve's
+# lcm(2, m) * |L|) are not capped; they grow with the values a cocycle lists.
+MAX_CONDUCTOR = 512
+
 
 def json_ints(values, what: str) -> list:
     """values, if it is a list of JSON integers.  type(...) is int: true,

@@ -44,15 +44,13 @@ from itertools import product as iproduct
 from math import comb, factorial, prod
 
 from . import linalg
-from .cocycles import smallest_irrep
+from .embed import decide_elementary, decide_part1
 from .errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
-                     LengthMismatch, NonAbelianUnsupported,
-                     NotFoundWithinBudget, ValidationError,
+                     LengthMismatch, NotFoundWithinBudget, ValidationError,
                      VerificationFailed)
 from .galg import AlgebraElement, GradedPresentation, sub_presentation
-from .groups import FiniteGroup, GTuple
+from .groups import FiniteGroup
 from .scalars import CyclotomicScalar
-from .tuples import exists_shift
 
 ONE = CyclotomicScalar.one()
 DEFAULT_BUDGET = 10_000_000
@@ -113,16 +111,6 @@ class MultilinearPoly:
             coeffs[w] = coeffs[w] + c if w in coeffs else c
         return MultilinearPoly(self.group, self.degrees, coeffs)
 
-    def __mul__(self, other: MultilinearPoly) -> MultilinearPoly:
-        """Product in disjoint variables; the other factor's variables are
-        appended after this one's."""
-        offset = self.n
-        coeffs = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                coeffs[w1 + tuple(v + offset for v in w2)] = c1 * c2
-        return MultilinearPoly(self.group, self.degrees + other.degrees, coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -133,12 +121,6 @@ class MultilinearPoly:
         return {"multidegree": list(self.degrees),
                 "terms": [{"perm": list(w), "coeff": c.to_json()}
                           for w, c in sorted(self.coeffs.items())]}
-
-    @classmethod
-    def from_json(cls, group: FiniteGroup, data) -> MultilinearPoly:
-        coeffs = {tuple(t["perm"]): CyclotomicScalar.from_json(t["coeff"])
-                  for t in data["terms"]}
-        return cls(group, data["multidegree"], coeffs)
 
 
 def standard_poly(r: int, degrees, group: FiniteGroup) -> MultilinearPoly:
@@ -302,9 +284,6 @@ class IdentityCheck:
     def __init__(self, is_identity: bool, witness=None):
         self.is_identity = is_identity
         self.witness = witness
-
-    def __bool__(self):
-        return self.is_identity
 
 
 def _matrix_reduction_pools(poly: MultilinearPoly, algebra):
@@ -536,9 +515,6 @@ class ProductPoly:
                 return True
         return not partial
 
-    def to_json(self):
-        return {"product": [atom.to_json() for atom in self.atoms]}
-
 
 # -- separators -------------------------------------------------------------------
 
@@ -559,12 +535,6 @@ class SeparatorResult:
         self.witness_a = witness_a  # basis keys of A
         self.degrees = degrees
 
-    def to_json(self):
-        return {"kind": self.kind, "poly": self.poly.to_json(),
-                "witness": [list(k) if isinstance(k, tuple) else k
-                            for k in self.witness_a],
-                "multidegree": list(self.degrees)}
-
 
 def _staircase_units(block_positions, length: int):
     """(i, j) index pairs walking the block diagonal/superdiagonal."""
@@ -581,20 +551,18 @@ def _staircase_units(block_positions, length: int):
 
 def separate_part1(a: GradedPresentation, b: GradedPresentation,
                    budget: int | None = None) -> SeparatorResult:
-    """Separator for the full-subgroup target shape via the standard
-    polynomial of degree twice the target's matrix size."""
+    """Separator for a trivially twisted full-subgroup target via the
+    standard polynomial of degree twice the target's matrix size.  d and
+    the verdict come from `embed.decide_part1` (true: DecisionWasTrue)."""
     budget = get_budget(budget)
-    group = a.group
-    if not group.abelian:
-        raise NonAbelianUnsupported("this separator shape needs an abelian group")
-    if b.H.order != group.order or not b.alpha.is_trivial():
+    if not b.alpha.is_trivial():
         raise VerificationFailed(
             "separator shape requires a trivially twisted full-subgroup target")
-    gamma = a.alpha.ratio(b.alpha.restrict(a.H))
-    d = smallest_irrep(gamma).dim
-    r1, r2 = a.r, b.r
-    if r2 >= d * r1:
+    decision = decide_part1(a, b)
+    if decision.verdict:
         raise DecisionWasTrue("embedding criterion holds; nothing separates")
+    d, r1, r2 = decision.d, a.r, b.r
+    group = a.group
     length = 2 * r2
     e = group.identity
     # the signed sum over all orderings, which is st_length at any degrees
@@ -630,16 +598,15 @@ def separate_part1(a: GradedPresentation, b: GradedPresentation,
 
 def separate_elementary(a: GradedPresentation, b: GradedPresentation,
                         budget: int | None = None) -> SeparatorResult:
-    """Block-product separator against an elementary matrix target."""
+    """Block-product separator against an elementary matrix target; the
+    verdict comes from `embed.decide_elementary` (true: DecisionWasTrue)."""
     budget = get_budget(budget)
-    group = a.group
     if not b.H.is_trivial() or not b.alpha.is_trivial():
         raise VerificationFailed("target must carry an elementary grading")
-    h_members = sorted(a.H.members)
-    h_bar = GTuple(group, h_members)
-    pattern = h_bar.product(a.s)
-    if exists_shift(b.s, pattern, group.trivial_subgroup()) is not None:
+    if decide_elementary(a, b).verdict:
         raise DecisionWasTrue("embedding criterion holds; nothing separates")
+    group = a.group
+    h_members = sorted(a.H.members)
 
     # group the tuple by right cosets, representatives at first occurrence
     blocks = []

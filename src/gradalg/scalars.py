@@ -54,7 +54,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import ConductorNotMultiple, DivisionByZero, NotRootOfUnity
+from .errors import (ConductorNotMultiple, ConductorTooLarge, DivisionByZero,
+                     NotRootOfUnity)
+from .groups import MAX_CONDUCTOR
 
 
 def euler_phi(m: int) -> int:
@@ -118,6 +120,17 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
         row = tuple([shifted[i] - lead * poly[i] for i in range(phi)])
     return tuple(rows)
 
+
+
+def common_conductor(m1: int, m2: int) -> int:
+    """lcm(m1, m2), where scalars at m1 and m2 meet.  An lcm above both and
+    above MAX_CONDUCTOR raises ConductorTooLarge; one conductor dividing the
+    other, as a cocycle value's divides that of the splitting
+    coboundary_solve derives from it, is never refused."""
+    m = m1 * m2 // gcd(m1, m2)
+    if m > MAX_CONDUCTOR and m > m1 and m > m2:
+        raise ConductorTooLarge(f"conductor {m} exceeds {MAX_CONDUCTOR}")
+    return m
 
 
 def _mul_reduced(m: int, x: tuple, y: tuple) -> tuple:
@@ -219,7 +232,7 @@ class CyclotomicScalar:
     def _common(self, other: CyclotomicScalar):
         if self.conductor == other.conductor:
             return self, other
-        m = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+        m = common_conductor(self.conductor, other.conductor)
         return self.rebase(m), other.rebase(m)
 
     # -- arithmetic ------------------------------------------------------
@@ -358,10 +371,14 @@ class CyclotomicScalar:
         """Read the to_json form: the conductor an int, each numerator and
         denominator a decimal-integer string.  Any other value raises
         ValueError instead of being coerced, since int() would read 1.5 as
-        1 and true as 1, and the scalar read would not be the one written."""
+        1 and true as 1, and the scalar read would not be the one written.
+        A conductor above MAX_CONDUCTOR raises ConductorTooLarge."""
         conductor = data["conductor"]
         if type(conductor) is not int:
             raise ValueError(f"conductor must be an integer, not {conductor!r}")
+        if conductor > MAX_CONDUCTOR:
+            raise ConductorTooLarge(
+                f"conductor {conductor} exceeds {MAX_CONDUCTOR}")
         coeffs = [Fraction(_decimal(num), _decimal(den))
                   for num, den in data["coeffs"]]
         return cls(conductor, coeffs)

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gradalg import scalars
 from gradalg.cli import main, parse_doc
 from gradalg.corpus import run_corpus
 from gradalg.errors import ParseError, ValidationError
+from gradalg.groups import MAX_CONDUCTOR
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -264,6 +266,79 @@ def test_doc_rejects_scalars_that_are_not_written_exactly(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error: $.presentations.A: " in err
+
+
+def _one_at(conductor):
+    """The scalar 1 written at `conductor`."""
+    return {"conductor": conductor, "coeffs": [["1", "1"]] + [["0", "1"]]
+            * (scalars.euler_phi(conductor) - 1)}
+
+
+@pytest.mark.parametrize("doc, refused", [
+    (_scalar_doc(_one_at(MAX_CONDUCTOR + 1)), MAX_CONDUCTOR + 1),
+    ({"group": _GROUP, "presentations": {"A": {
+        "H": {"elements": [0, 1]}, "s": {"entries": [0]},
+        "alpha": {"subgroup": {"elements": [0, 1]},
+                  "values": [[_one_at(1), _one_at(31)],
+                             [_one_at(37), _one_at(1)]]}}}}, 31 * 37),
+], ids=["above-the-cap", "lcm-above-the-cap"])
+def test_doc_rejects_conductors_above_the_cap(tmp_path, capsys, monkeypatch,
+                                              doc, refused):
+    """A value at a conductor above MAX_CONDUCTOR is refused as it is
+    read, and two values whose product lives at the lcm 31 * 37 = 1147 of
+    theirs when the product is asked for; both at the document's path and
+    before the power table of that conductor is built.  Building a
+    table starts with its cyclotomic polynomial, which is made to fail
+    above the cap here."""
+    built = []
+    original = scalars.cyclotomic_polynomial
+
+    def guarded(m):
+        if m > MAX_CONDUCTOR:
+            built.append(m)
+            raise AssertionError(f"power table built at conductor {m}")
+        return original(m)
+
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", guarded)
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    assert main(["decide", str(doc_path), "--a", "A", "--b", "A"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"error: $.presentations.A: conductor {refused} exceeds "
+            f"{MAX_CONDUCTOR}") in err
+    assert built == []
+
+
+def _trivial_at(n, conductor):
+    """Z/n with one presentation A: H = G, s = (0) and the trivial cocycle,
+    each value written as 1 at `conductor`."""
+    one = _one_at(conductor)
+    alpha = {"subgroup": {"elements": list(range(n))},
+             "values": [[one] * n for _ in range(n)]}
+    return {"group": {"kind": "cyclic", "n": n}, "presentations": {"A": {
+        "H": {"elements": list(range(n))}, "s": {"entries": [0]},
+        "alpha": alpha}}}
+
+
+@pytest.mark.parametrize("n, conductor", [
+    (8, 33), (4, 129), (2, 509),
+    pytest.param(64, 5, marks=pytest.mark.slow),
+])
+def test_doc_decides_past_the_cap_at_derived_conductors(tmp_path, capsys,
+                                                        n, conductor):
+    """The cap bounds conductors a document writes, not those the engine
+    derives: splitting the trivial cocycle on Z/n at conductor m takes
+    coboundary_solve to lcm(2, m) * n, above MAX_CONDUCTOR here, and the
+    document decides as it did before there was a cap.  The Z/64 case
+    takes about 20 s and 150 MB."""
+    assert (2 * conductor) * n > MAX_CONDUCTOR
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(_trivial_at(n, conductor)))
+    assert main(["decide", str(doc_path), "--a", "A", "--b", "A"]) == 0
+    decision = json.loads(capsys.readouterr().out)["decision"]
+    assert (decision["verdict"], decision["case"], decision["d"],
+            decision["shift"]) == (True, "part23", 1, 0)
 
 
 @pytest.mark.parametrize("coeff", [

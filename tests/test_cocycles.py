@@ -10,7 +10,7 @@ import pytest
 from gradalg.cocycles import (Bicharacter, Cocycle, abelian_basis,
                               coboundary_solve, element_coordinates,
                               enumerate_cocycle_classes, random_coboundary,
-                              smallest_irrep, transversal_normalize)
+                              smallest_irrep)
 from gradalg.errors import CocycleIdentityViolated, NotSymmetric
 from gradalg.groups import FiniteGroup, GTuple, Subgroup
 from gradalg.linalg import rank
@@ -332,19 +332,6 @@ def test_iterated_values(klein):
     tup = GTuple(klein, [2, 1, 2])
     expected = alpha.value(2, 1) * alpha.value(klein.mul(2, 1), 2)
     assert alpha.iterated(tup) == expected
-
-
-def test_transversal_normalize(klein):
-    alpha = klein_alpha(klein)
-    h = Subgroup(klein, [0, 2])
-    tr = GTuple(klein, [0, 1])
-    normalized, rescale = transversal_normalize(alpha, h, tr)
-    for x in h:
-        for w in tr:
-            assert normalized.value(x, w).is_one()
-    # already-normalized input gets the identity rescaling
-    again, rescale2 = transversal_normalize(normalized, h, tr)
-    assert all(v.is_one() for v in rescale2.values())
 
 
 def test_class_enumeration_counts(klein):

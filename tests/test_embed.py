@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -12,15 +13,15 @@ from gradalg.cli import parse_doc
 from gradalg.cocycles import (Cocycle, enumerate_cocycle_classes,
                               random_coboundary, smallest_irrep)
 from gradalg.corpus import generate_corpus
-from gradalg.embed import (construct, decide, decide_part1, decide_part2,
-                           transversal_action)
-from gradalg.errors import (DecisionFalse, ElementOutsideGroup,
-                            MismatchedParent, NonAbelianUnsupported,
-                            NotSameCoset)
+from gradalg.embed import construct, decide, decide_part1, decide_part2
+from gradalg.errors import (DecisionFalse, MismatchedParent,
+                            NonAbelianUnsupported)
 from gradalg.galg import GradedHom, GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
+from gradalg.identities import separate_elementary, separate_part1
 from gradalg.scalars import CyclotomicScalar as C
-from gradalg.tuples import CosetMultiset, exists_shift, subsume_mod
+from gradalg.tuples import (CosetMultiset, exists_shift,
+                            exists_shift_bruteforce, subsume_mod)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -124,42 +125,51 @@ def test_factors_of_higher_order_are_divided_out(z4):
     assert construct(a, b, decision).certificate.is_embedding
 
 
-def test_placement_rejects_entries_of_another_coset(z4, monkeypatch):
-    """A matching that pairs a pattern entry with a tuple entry of another
-    coset is refused rather than placed."""
-    h = z4.subgroup([0, 2])
-    b = GradedPresentation(z4, h, Cocycle.trivial(h), GTuple(z4, [0, 1]))
-    monkeypatch.setattr(embed, "_match_pattern_positions",
-                        lambda target, pattern, modulo: [1])
-    with pytest.raises(NotSameCoset):
-        embed._placement(b, 0, GTuple(z4, [0]), h)
+def _split_action(split, t, g):
+    """{w: (h, w')} with w * g = h * w', read from the split of N1."""
+    return {w: split[t.group.mul(w, g)] for w in t}
 
 
-def test_transversal_action_examples(z4):
+def test_transversal_split_examples(z4):
     n1 = z4.full_subgroup()
     h = z4.subgroup([0, 2])
     t = GTuple(z4, [0, 1])
-    assert transversal_action(n1, h, t, 0) == {0: (0, 0), 1: (0, 1)}
+    split, _ = embed._transversal_split(Cocycle.trivial(n1), h, t)
+    assert _split_action(split, t, 0) == {0: (0, 0), 1: (0, 1)}
     # an element of the subgroup fixes representatives
-    assert transversal_action(n1, h, t, 2) == {0: (2, 0), 1: (2, 1)}
-    assert transversal_action(n1, h, t, 1) == {0: (0, 1), 1: (2, 0)}
-    with pytest.raises(ElementOutsideGroup):
-        transversal_action(h, h, GTuple(z4, [0]), 1)
+    assert _split_action(split, t, 2) == {0: (2, 0), 1: (2, 1)}
+    assert _split_action(split, t, 1) == {0: (0, 1), 1: (2, 0)}
 
 
-def test_transversal_action_composition(z4):
+def test_transversal_split_composition(z4):
     n1 = z4.full_subgroup()
     h = z4.subgroup([0, 2])
     t = GTuple(z4, [0, 1])
+    split, _ = embed._transversal_split(Cocycle.trivial(n1), h, t)
     for g1 in z4.elements():
-        act1 = transversal_action(n1, h, t, g1)
+        act1 = _split_action(split, t, g1)
         for g2 in z4.elements():
-            act2 = transversal_action(n1, h, t, g2)
-            combined = transversal_action(n1, h, t, z4.mul(g1, g2))
+            act2 = _split_action(split, t, g2)
+            combined = _split_action(split, t, z4.mul(g1, g2))
             for w in t:
                 h1, w1 = act1[w]
                 h2, w2 = act2[w1]
                 assert combined[w] == (z4.mul(h1, h2), w2)
+
+
+def test_transversal_split_normalizes_the_cocycle(klein, klein_classes):
+    """Twisting by the rescaling c makes alpha_t(h, w) = 1 on H x T, and an
+    already normalized cocycle gets the identity rescaling."""
+    alpha = klein_classes[1]
+    h = klein.subgroup([0, 2])
+    tr = GTuple(klein, [0, 1])
+    _, c = embed._transversal_split(alpha, h, tr)
+    normalized = alpha.twist_by_coboundary(c)
+    for x in h:
+        for w in tr:
+            assert normalized.value(x, w).is_one()
+    _, again = embed._transversal_split(normalized, h, tr)
+    assert all(v.is_one() for v in again.values())
 
 
 def test_elementary_route_regular_tuple(d4):
@@ -476,3 +486,49 @@ def test_decisions_share_their_tuples():
     assert json.dumps(data) == json.dumps(
         {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()})
 
+
+
+def _small_presentations(group):
+    """Every (N, alpha, s) over `group`: N a subgroup, alpha a class of
+    enumerate_cocycle_classes(N), s a sorted tuple of length 1 or 2."""
+    tuples = [GTuple(group, s) for n in (1, 2)
+              for s in combinations_with_replacement(group.elements(), n)]
+    return [GradedPresentation(group, n, alpha, s)
+            for n in group.all_subgroups()
+            for alpha in enumerate_cocycle_classes(n) for s in tuples]
+
+
+@pytest.mark.parametrize("group, expected", [
+    ("z4", (42, 800, 608)),
+    pytest.param("klein", (84, 2588, 1424), marks=pytest.mark.slow),
+], ids=["Z4", "Z2xZ2"])
+def test_theorem_oracle_on_small_groups(request, group, expected):
+    """Over every ordered pair of small presentations: decide agrees with
+    decide_part1 and decide_part2 where they apply and with the whole-group
+    shift scan on its pattern; every true decision constructs a certified
+    map; and every false one with a trivially twisted full or elementary
+    target gets a separator, which checks itself before it returns.
+    Expected: (presentations, certified maps, separators)."""
+    group = request.getfixturevalue(group)
+    presentations = _small_presentations(group)
+    certified = separated = 0
+    for a in presentations:
+        for b in presentations:
+            decision = decide(a, b)
+            verdict = decision.verdict
+            assert (exists_shift_bruteforce(b.s, decision.pattern, b.H)
+                    is not None) is verdict
+            if b.H.order == group.order:
+                assert decide_part1(a, b).verdict is verdict
+            if set(a.s) <= b.H.members and set(b.s) <= a.H.members:
+                assert decide_part2(a, b).verdict is verdict
+            if verdict:
+                assert construct(a, b, decision).certificate.is_embedding
+                certified += 1
+            elif b.H.order == group.order and b.alpha.is_trivial():
+                assert separate_part1(a, b).kind == "part1"
+                separated += 1
+            elif b.H.is_trivial():
+                separate_elementary(a, b)
+                separated += 1
+    assert (len(presentations), certified, separated) == expected
