@@ -1,7 +1,9 @@
 """Exact row reduction over cyclotomic scalars (Echelon, rank, kernels,
-invert_matrix), plus integer Smith form and solving modulo an integer."""
+invert_matrix), plus solving modulo an integer through the Smith form."""
 
 from __future__ import annotations
+
+from math import gcd
 
 from .errors import NoSolution
 from .scalars import CyclotomicScalar
@@ -104,87 +106,84 @@ def invert_matrix(mat: list[list[CyclotomicScalar]]) -> list[list[CyclotomicScal
     return [row[n:] for row in aug]
 
 
-# -- integer Smith normal form and modular solving -----------------------------
+# -- modular solving through the integer Smith form ---------------------------
 
-def smith_normal_form(mat: list[list[int]]):
-    """Return (D, U, V) with U*mat*V = D diagonal, all over the integers."""
+def solve_mod(mat: list[list[int]], rhs: list[int], modulus: int):
+    """Solve mat * x = rhs (mod modulus); None when inconsistent.
+
+    Diagonalizes mat to its Smith form D = U * mat * V by integer row and
+    column operations: each round moves a nonzero entry of least magnitude
+    to (t, t) and reduces its row and column by floor quotients, until both
+    are zero off the diagonal.  U is not kept: each row swap and row
+    operation is applied to rhs as it is made, so rhs ends as U * rhs
+    exactly.  V is kept for the back-substitution x = V * y, where y solves
+    the diagonal system D * y = U * rhs (mod modulus) entry by entry.
+    """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     a = [list(r) for r in mat]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    b = list(rhs)
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i1, i2, c):  # row i1 -= c * row i2
-        for j in range(cols):
-            a[i1][j] -= c * a[i2][j]
-        for j in range(rows):
-            u[i1][j] -= c * u[i2][j]
-
-    def col_op(j1, j2, c):  # col j1 -= c * col j2
-        for i in range(rows):
-            a[i][j1] -= c * a[i][j2]
-        for i in range(cols):
-            v[i][j1] -= c * v[i][j2]
-
-    def swap_rows(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for i in range(rows):
-            a[i][j1], a[i][j2] = a[i][j2], a[i][j1]
-        for i in range(cols):
-            v[i][j1], v[i][j2] = v[i][j2], v[i][j1]
 
     t = 0
     while t < min(rows, cols):
         # move a nonzero entry of minimal magnitude into (t, t)
-        best = None
+        best, least = None, 0
         for i in range(t, rows):
+            ai = a[i]
             for j in range(t, cols):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = ai[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        b[t], b[bi] = b[bi], b[t]
+        if bj != t:
+            for r in a:
+                r[t], r[bj] = r[bj], r[t]
+            for r in v:
+                r[t], r[bj] = r[bj], r[t]
+        pivot_row = a[t]
+        p = pivot_row[t]
         dirty = False
+        # row i -= q * row t; left of column t, rows t and up are zero
         for i in range(t + 1, rows):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                row_op(i, t, q)
-                dirty = dirty or a[i][t] != 0
+            ai = a[i]
+            if ai[t]:
+                q = ai[t] // p
+                for j in range(t, cols):
+                    ai[j] -= q * pivot_row[j]
+                b[i] -= q * b[t]
+                dirty = dirty or ai[t] != 0
+        # col j -= q * col t; above row t, columns t and up are zero
         for j in range(t + 1, cols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                col_op(j, t, q)
-                dirty = dirty or a[t][j] != 0
+            if pivot_row[j]:
+                q = pivot_row[j] // p
+                for i in range(t, rows):
+                    a[i][j] -= q * a[i][t]
+                for r in v:
+                    r[j] -= q * r[t]
+                dirty = dirty or pivot_row[j] != 0
         if dirty or any(a[i][t] for i in range(t + 1, rows)) \
-                or any(a[t][j] for j in range(t + 1, cols)):
+                or any(pivot_row[j] for j in range(t + 1, cols)):
             continue
         t += 1
-    return a, u, v
 
-
-def solve_mod(mat: list[list[int]], rhs: list[int], modulus: int):
-    """Solve mat * x = rhs (mod modulus); None when inconsistent."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    d, u, v = smith_normal_form(mat)
-    ub = [sum(u[i][k] * rhs[k] for k in range(rows)) % modulus for i in range(rows)]
     y = [0] * cols
-    from math import gcd
     for i in range(rows):
-        di = d[i][i] if i < cols else 0
-        if i < cols and di:
+        ub = b[i] % modulus
+        di = a[i][i] if i < cols else 0
+        if di:
             g = gcd(di, modulus)
-            if ub[i] % g:
+            if ub % g:
                 return None
-            # solve di * y = ub[i] mod modulus
+            # solve di * y = ub mod modulus
             m2 = modulus // g
             inv = pow((di // g) % m2, -1, m2) if m2 > 1 else 0
-            y[i] = ((ub[i] // g) * inv) % m2 if m2 > 1 else 0
-        elif ub[i] % modulus:
+            y[i] = ((ub // g) * inv) % m2 if m2 > 1 else 0
+        elif ub:
             return None
-    x = [sum(v[i][k] * y[k] for k in range(cols)) % modulus for i in range(cols)]
-    return x
+    return [sum(v[i][k] * y[k] for k in range(cols)) % modulus
+            for i in range(cols)]

@@ -91,9 +91,10 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, ascending, monic."""
+    """Coefficients of the m-th cyclotomic polynomial, ascending, monic.
+    The 32 most recently used are kept; an evicted one is rebuilt equal."""
     if m == 1:
         return (-1, 1)
     num = [-1] + [0] * (m - 1) + [1]
@@ -103,12 +104,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     """x^k mod Phi_m for k = 0 .. max(m, 2*phi - 1) - 1, rows of integer
     coefficients.  Rows phi and up fold a product back into the power
     basis; row k < m holds the numerators of zeta_m^k, each over 1 (a
-    shift by x and a reduction by the monic Phi_m keep integers)."""
+    shift by x and a reduction by the monic Phi_m keep integers).  The 32
+    most recently used tables are kept, so a process that meets many
+    conductors does not keep a table for each; a table depends on m alone,
+    so one rebuilt after eviction is the same."""
     phi = euler_phi(m)
     poly = cyclotomic_polynomial(m)
     row = (1,) + (0,) * (phi - 1)

@@ -421,3 +421,26 @@ def test_scalar_never_equals_a_number():
     # == with a number is not coerced: a rational enters by from_rational
     assert (C.one() == 1) is False
     assert C.one() == C.from_rational(1)
+
+
+def test_power_tables_are_bounded_and_rebuilt_equal():
+    """A process that meets many conductors keeps at most 32 power tables
+    and 32 cyclotomic polynomials; values at a conductor whose table was
+    evicted compute as before."""
+    before = {}
+    for p in (3, 5, 7):
+        a = C.zeta(p, 1) + C.from_rational(Fraction(2, 3), p)
+        b = C.zeta(p, p - 1) - C.from_rational(5, p)
+        before[p] = (a, b, a * b, a / b, a.inverse())
+    primes = [p for p in range(3, 257, 2)
+              if all(p % q for q in range(3, int(p ** 0.5) + 1, 2))]
+    assert len(primes) == 53
+    for p in primes:
+        C.zeta(p, 1) * C.zeta(p, 2)
+    for cached in (_power_table, cyclotomic_polynomial):
+        assert cached.cache_info().currsize <= 32
+    misses = _power_table.cache_info().misses
+    for p, (a, b, prod, quot, inv) in before.items():
+        assert (a * b, a / b, a.inverse()) == (prod, quot, inv)
+    # each of 3, 5 and 7 had its table evicted and built once more
+    assert _power_table.cache_info().misses == misses + 3
