@@ -430,6 +430,24 @@ def test_constructed_maps_are_byte_identical():
         "2039933af05ffdf9e0d381027fb68031ba5f0a74c88fe5d0dc9903a15ca886cc"
 
 
+def test_decisions_on_the_order_12_corpus_are_byte_identical():
+    """The JSON of every decision on a fixed order-12 corpus, each followed
+    by the JSON of its constructed map where the verdict is true, is pinned
+    by one digest."""
+    docs = []
+    maps = 0
+    for inst in generate_corpus(20250809, 12, 512):
+        decision = decide(inst.a, inst.b)
+        docs.append(decision.to_json())
+        if decision.verdict:
+            docs.append(construct(inst.a, inst.b, decision).to_json())
+            maps += 1
+    assert maps == 233
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3cb3af874309413b7e73544fa29b5e62cc252b6d960e9edd84573d591f734da2"
+
+
 def _twisted_presentation(rng, group, classes):
     """A random presentation whose cocycle is a class representative times a
     random coboundary, with about half its values restated at a multiple of

@@ -1,6 +1,8 @@
 """Identity testing, kernels, inclusion and separator construction."""
 
 import gc
+import hashlib
+import json
 import random
 import sys
 from itertools import combinations_with_replacement
@@ -506,3 +508,23 @@ def test_identity_sweeps_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_identity_space_kernels_are_byte_identical():
+    """The kernel of every identity space of both presentations, at every
+    sorted multidegree of length <= 3 over their union support, across a
+    fixed corpus, is pinned by one digest.  Coefficients are written with
+    their conductors, so this pins those as well."""
+    spaces = []
+    for inst in corpus.generate_corpus(20250809, 6, 220):
+        supp = sorted(inst.a.support() | inst.b.support())
+        for length in range(1, 4):
+            for degrees in combinations_with_replacement(supp, length):
+                for algebra in (inst.a, inst.b):
+                    space = identity_space(algebra, degrees)
+                    spaces.append([[c.to_json() for c in vec]
+                                   for vec in space.vectors])
+    assert len(spaces) == 13532
+    text = json.dumps(spaces, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6a6e8a7764bb32f1a75283efae8fac09f56345b70315e90eb2ed46cc99e9887c"

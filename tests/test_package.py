@@ -21,3 +21,29 @@ def test_public_names_are_pinned_and_resolve():
     stay importable from their modules, not from the package."""
     assert sorted(gradalg.__all__) == PUBLIC
     assert all(getattr(gradalg, name, None) is not None for name in PUBLIC)
+
+
+def _load_bench_module(name):
+    """Import a benchmark script by path; its gradalg imports run then."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_binds_resolves():
+    """The tracer wraps engine functions and methods by name and the
+    workloads import engine names; each must still exist."""
+    import importlib
+    tracer = _load_bench_module("tracer")
+    for _, modname, attr, _ in tracer._TARGETS:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), \
+            (modname, attr)
+    for _, modname, clsname, method, _ in tracer._METHODS:
+        cls = getattr(importlib.import_module(modname), clsname, None)
+        assert cls is not None, (modname, clsname)
+        assert method in vars(cls), (modname, clsname, method)
+    _load_bench_module("workloads")
