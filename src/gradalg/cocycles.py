@@ -26,13 +26,15 @@ ZERO = CyclotomicScalar.zero()
 
 
 class Cocycle:
-    """A normalized 2-cocycle on a subgroup, as a full value table."""
+    """A normalized 2-cocycle on a subgroup, as a full value table.
+
+    The public constructor validates the table and stores it normalized,
+    as `verify_and_normalize` returns it."""
 
     def __init__(self, subgroup: Subgroup, values: dict, _validate: bool = True):
         self.subgroup = subgroup
-        self.values = dict(values)
-        if _validate:
-            self._validate()
+        self.values = (Cocycle.verify_and_normalize(subgroup, values).values
+                       if _validate else dict(values))
 
     @classmethod
     def trivial(cls, subgroup: Subgroup) -> Cocycle:
@@ -65,13 +67,6 @@ class Cocycle:
             inv = scale.inverse()
             vals = {k: v * inv for k, v in vals.items()}
         return cls(subgroup, vals, _validate=False)
-
-    def _validate(self):
-        # reuses the full verification sweep; construction is not a hot path
-        checked = Cocycle.verify_and_normalize(self.subgroup, self.values)
-        e = self.subgroup.parent.identity
-        if checked.values != self.values and not self.values[(e, e)].is_one():
-            raise CocycleIdentityViolated(e, e, e)
 
     def value(self, a: int, b: int) -> CyclotomicScalar:
         try:
@@ -449,15 +444,3 @@ def enumerate_cocycle_classes(sub: Subgroup) -> list[Cocycle]:
     rec(0, [])
     return results
 
-
-def random_coboundary(sub: Subgroup, rng, max_order: int = 4) -> dict:
-    """A random rescaling mu with mu(e) = 1, for cohomology-invariance tests."""
-    group = sub.parent
-    mu = {}
-    for g in sub:
-        if g == group.identity:
-            mu[g] = ONE
-        else:
-            m = rng.randrange(1, max_order + 1)
-            mu[g] = CyclotomicScalar.zeta(m, rng.randrange(m))
-    return mu

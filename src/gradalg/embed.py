@@ -30,7 +30,7 @@ from .errors import (DecisionFalse, MismatchedParent, NonAbelianUnsupported,
 from .galg import GradedHom, GradedPresentation, verify_hom
 from .groups import GTuple, Subgroup
 from .scalars import CyclotomicScalar
-from .tuples import exists_shift, subsume_mod
+from .tuples import exists_shift, match_positions, subsume_mod
 
 ONE = CyclotomicScalar.one()
 
@@ -108,12 +108,19 @@ def decide(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
         "non-abelian ambient groups are supported only for elementary targets")
 
 
-def _decide_abelian(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
+def _criterion(a: GradedPresentation, b: GradedPresentation):
+    """(H, d, G', transversal): H = N1 & N2, d the minimal representation
+    dimension of alpha|H / beta|H, G' = N1 N2, and the transversal of N2
+    in G'."""
     h_sub = a.H.intersection(b.H)
     gamma = a.alpha.restrict(h_sub).ratio(b.alpha.restrict(h_sub))
     d = smallest_irrep(gamma).dim
     g_prime = a.H.product_subgroup(b.H)
-    transversal = b.H.transversal(within=g_prime)
+    return h_sub, d, g_prime, b.H.transversal(within=g_prime)
+
+
+def _decide_abelian(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
+    h_sub, d, g_prime, transversal = _criterion(a, b)
     shift = exists_shift(b.s, _pattern("part23", d, transversal, a.s), b.H)
     return EmbedDecision(shift is not None, "part23", h_sub, d, g_prime,
                          transversal, a.s, shift)
@@ -160,35 +167,13 @@ def decide_part2(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
         raise VerificationFailed("fast path requires the source tuple in N2")
     if not all(x in a.H.members for x in b.s):
         raise VerificationFailed("fast path requires the target tuple in N1")
-    h_sub = a.H.intersection(b.H)
-    gamma = a.alpha.restrict(h_sub).ratio(b.alpha.restrict(h_sub))
-    d = smallest_irrep(gamma).dim
-    g_prime = a.H.product_subgroup(b.H)
-    transversal = b.H.transversal(within=g_prime)
+    h_sub, d, g_prime, transversal = _criterion(a, b)
     verdict = subsume_mod(b.s, _pattern("part2", d, transversal, a.s), b.H)
     return EmbedDecision(verdict, "part2", h_sub, d, g_prime, transversal,
                          a.s, group.identity if verdict else None)
 
 
 # -- construction ----------------------------------------------------------------
-
-def _match_pattern_positions(target: GTuple, pattern: GTuple,
-                             modulo: Subgroup) -> list[int]:
-    """Greedy injection of pattern positions into target positions with
-    matching cosets, in pattern order."""
-    used = [False] * len(target)
-    positions = []
-    for p in pattern:
-        rep = modulo.coset_rep(p)
-        for j, t in enumerate(target):
-            if not used[j] and modulo.coset_rep(t) == rep:
-                used[j] = True
-                positions.append(j)
-                break
-        else:
-            raise DecisionFalse("pattern does not inject into the target tuple")
-    return positions
-
 
 def _placement(b: GradedPresentation, shift: int, pattern: GTuple,
                modulo: Subgroup):
@@ -213,7 +198,9 @@ def _placement(b: GradedPresentation, shift: int, pattern: GTuple,
     t, inv, e = group.table, group.inverses, group.identity
     beta = b.alpha.values
     entries = b.s.shift(shift)
-    positions = _match_pattern_positions(entries, pattern, modulo)
+    positions = match_positions(entries, pattern, modulo)
+    if positions is None:
+        raise DecisionFalse("pattern does not inject into the target tuple")
     h_of = {}
     for k, p in enumerate(pattern):
         s_k = entries[positions[k]]

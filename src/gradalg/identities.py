@@ -48,9 +48,10 @@ from .embed import decide_elementary, decide_part1
 from .errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
                      LengthMismatch, NotFoundWithinBudget, ValidationError,
                      VerificationFailed)
-from .galg import AlgebraElement, GradedPresentation, sub_presentation
+from .galg import AlgebraElement, GradedPresentation
 from .groups import FiniteGroup
 from .scalars import CyclotomicScalar
+from .tuples import bipartite_match, coset_positions
 
 ONE = CyclotomicScalar.one()
 DEFAULT_BUDGET = 10_000_000
@@ -102,14 +103,6 @@ class MultilinearPoly:
     def scale(self, c: CyclotomicScalar) -> MultilinearPoly:
         return MultilinearPoly(self.group, self.degrees,
                                {w: c * v for w, v in self.coeffs.items()})
-
-    def __add__(self, other: MultilinearPoly) -> MultilinearPoly:
-        if self.degrees != other.degrees:
-            raise DegreeMismatch("adding polynomials of different multidegrees")
-        coeffs = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            coeffs[w] = coeffs[w] + c if w in coeffs else c
-        return MultilinearPoly(self.group, self.degrees, coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -255,31 +248,6 @@ def _antisym_unit(poly: MultilinearPoly) -> CyclotomicScalar | None:
     return unit
 
 
-def _bipartite_match(items, pools) -> list | None:
-    """Assign each position one distinct item index; pools[pos] is a set."""
-    n = len(pools)
-    match_item = [None] * len(items)
-
-    def augment(pos, seen):
-        for idx, item in enumerate(items):
-            if idx in seen or item not in pools[pos]:
-                continue
-            seen.add(idx)
-            if match_item[idx] is None or augment(match_item[idx], seen):
-                match_item[idx] = pos
-                return True
-        return False
-
-    for pos in range(n):
-        if not augment(pos, set()):
-            return None
-    out = [None] * n
-    for idx, pos in enumerate(match_item):
-        if pos is not None:
-            out[pos] = idx
-    return out
-
-
 class IdentityCheck:
     def __init__(self, is_identity: bool, witness=None):
         self.is_identity = is_identity
@@ -327,7 +295,7 @@ def _nonzero_values(poly: MultilinearPoly, algebra, budget: int):
 
         def matched():
             for subset in combinations(all_units, poly.n):
-                assign = _bipartite_match(subset, unit_pools)
+                assign = bipartite_match(subset, unit_pools)
                 if assign is not None:
                     yield tuple(lookup[pos][subset[assign[pos]]]
                                 for pos in range(poly.n))
@@ -576,7 +544,8 @@ def separate_part1(a: GradedPresentation, b: GradedPresentation,
             witness = None
     if witness is None:
         r1pp = min(r1, (r2 + d) // d)  # smallest block with d*r1pp > r2
-        sub, incl = sub_presentation(a, range(r1pp))
+        # the corner on the first r1pp positions; its keys are keys of a
+        sub = GradedPresentation(a.group, a.H, a.alpha, a.s.sub(range(r1pp)))
         keys = sub.basis_keys()
         if comb(len(keys), length) > budget:
             raise NotFoundWithinBudget("witness subset search exceeds budget")
@@ -608,15 +577,9 @@ def separate_elementary(a: GradedPresentation, b: GradedPresentation,
     group = a.group
     h_members = sorted(a.H.members)
 
-    # group the tuple by right cosets, representatives at first occurrence
-    blocks = []
-    seen = {}
-    for pos, x in enumerate(a.s):
-        rep = a.H.coset_rep(x)
-        if rep not in seen:
-            seen[rep] = len(blocks)
-            blocks.append([])
-        blocks[seen[rep]].append(pos)
+    # the tuple's positions grouped by right coset, in order of first
+    # occurrence
+    blocks = list(coset_positions(a.s, a.H).values())
     inv = group.inverses
     t = group.table
     s1_pos = blocks[0][0]

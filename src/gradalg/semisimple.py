@@ -5,7 +5,7 @@ SemisimplePresentation names.  Identity-ideal inclusion between simple
 components is decided by the embedding criterion; a minimal set drops
 components whose identities are implied by another's; the power embedding
 assigns each source component a (copy, component) slot of the replicated
-target via capacitated matching.
+target through tuples.bipartite_match.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .embed import _build, decide
 from .errors import NoMatch, VerificationFailed
 from .galg import (DirectSumAlgebra, GradedHom, GradedPresentation,
                    verify_hom)
+from .tuples import bipartite_match
 
 
 SemisimplePresentation = DirectSumAlgebra
@@ -66,35 +67,6 @@ def match_components(a: DirectSumAlgebra, b: DirectSumAlgebra):
     return tau
 
 
-def _feasible_assignment(candidates: list[list[int]], m: int, copies: int):
-    """Match each source index to a (copy, target) slot, at most one source
-    per slot; None when infeasible."""
-    slots = [(c, j) for c in range(copies) for j in range(m)]
-    slot_index = {s: k for k, s in enumerate(slots)}
-    match = [None] * len(slots)
-
-    def augment(i, seen):
-        for j in candidates[i]:
-            for c in range(copies):
-                k = slot_index[(c, j)]
-                if k in seen:
-                    continue
-                seen.add(k)
-                if match[k] is None or augment(match[k], seen):
-                    match[k] = i
-                    return True
-        return False
-
-    for i in range(len(candidates)):
-        if not augment(i, set()):
-            return None
-    out = [None] * len(candidates)
-    for k, i in enumerate(match):
-        if i is not None:
-            out[i] = slots[k]
-    return out
-
-
 def embed_into_power(a: DirectSumAlgebra, b: DirectSumAlgebra):
     """A certified block-diagonal embedding of a into the N-fold sum of b.
 
@@ -105,30 +77,27 @@ def embed_into_power(a: DirectSumAlgebra, b: DirectSumAlgebra):
     and target components, so a block-diagonal map that is graded,
     multiplicative and injective is all three on each block.
     """
-    decisions = []
-    candidates = []
+    decisions = []  # per source component: target index -> true decision
     for i, a_i in enumerate(a.components):
-        row = []
-        drow = {}
+        row = {}
         for j, b_j in enumerate(b.components):
             d = decide(a_i, b_j)
             if d.verdict:
-                row.append(j)
-                drow[j] = d
+                row[j] = d
         if not row:
             raise NoMatch(i)
-        candidates.append(row)
-        decisions.append(drow)
+        decisions.append(row)
 
     m = len(b.components)
-    assignment = None
-    copies = 0
-    for n_copies in range(1, len(a.components) + 1):
-        assignment = _feasible_assignment(candidates, m, n_copies)
-        if assignment is not None:
-            copies = n_copies
+    for copies in range(1, len(a.components) + 1):
+        # slots ordered by component, then copy: each source component
+        # tries its candidates in that order
+        slots = [(c, j) for j in range(m) for c in range(copies)]
+        match = bipartite_match(slots, [
+            {(c, j) for j in row for c in range(copies)} for row in decisions])
+        if match is not None:
             break
-    if assignment is None:
+    else:
         raise NoMatch(-1)
 
     target_components = [b.components[j] for _ in range(copies)
@@ -137,7 +106,7 @@ def embed_into_power(a: DirectSumAlgebra, b: DirectSumAlgebra):
 
     images = {}
     for i, a_i in enumerate(a.components):
-        copy_idx, j = assignment[i]
+        copy_idx, j = slots[match[i]]
         slot = copy_idx * m + j
         hom = _build(a_i, b.components[j], decisions[i][j])
         for key, img in hom.images.items():

@@ -5,6 +5,19 @@ import pytest
 from gradalg import galg
 from gradalg.cocycles import enumerate_cocycle_classes
 from gradalg.groups import FiniteGroup, build_group, dihedral_table
+from gradalg.scalars import CyclotomicScalar
+
+
+def random_coboundary(sub, rng, max_order: int = 4) -> dict:
+    """A random rescaling mu with mu(e) = 1, for cohomology-invariance tests."""
+    mu = {}
+    for g in sub:
+        if g == sub.parent.identity:
+            mu[g] = CyclotomicScalar.one()
+        else:
+            m = rng.randrange(1, max_order + 1)
+            mu[g] = CyclotomicScalar.zeta(m, rng.randrange(m))
+    return mu
 
 
 @pytest.fixture(scope="session")

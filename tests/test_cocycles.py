@@ -9,12 +9,13 @@ import pytest
 
 from gradalg.cocycles import (Bicharacter, Cocycle, abelian_basis,
                               coboundary_solve, element_coordinates,
-                              enumerate_cocycle_classes, random_coboundary,
-                              smallest_irrep)
+                              enumerate_cocycle_classes, smallest_irrep)
 from gradalg.errors import CocycleIdentityViolated, NotSymmetric
 from gradalg.groups import FiniteGroup, GTuple, Subgroup
 from gradalg.linalg import rank
 from gradalg.scalars import CyclotomicScalar as C
+
+from conftest import random_coboundary
 
 ONE = C.one()
 MINUS = C.from_rational(-1)
@@ -56,6 +57,25 @@ def test_perturbed_table_rejected():
     with pytest.raises(CocycleIdentityViolated) as err:
         Cocycle.verify_and_normalize(sub, values)
     assert len(err.value.triple) == 3
+
+
+def test_constructor_normalizes_a_valid_table():
+    """A constant table is a cocycle; the constructor stores it normalized,
+    as verify_and_normalize does, instead of rejecting it."""
+    sub = FiniteGroup.cyclic(2).full_subgroup()
+    values = {(a, b): C.zeta(4, 1) for a in sub for b in sub}
+    alpha = Cocycle(sub, values)
+    assert alpha.values == Cocycle.verify_and_normalize(sub, values).values
+    assert alpha.is_trivial()
+
+
+def test_constructor_reports_the_failing_triple():
+    sub = FiniteGroup.cyclic(4).full_subgroup()
+    values = {(a, b): ONE for a in sub for b in sub}
+    values[(1, 2)] = C.zeta(4, 1)
+    with pytest.raises(CocycleIdentityViolated) as err:
+        Cocycle(sub, values)
+    assert err.value.triple == (1, 1, 1)
 
 
 def test_ratio_and_product(klein):

@@ -10,8 +10,7 @@ import pytest
 
 from gradalg import embed
 from gradalg.cli import parse_doc
-from gradalg.cocycles import (Cocycle, enumerate_cocycle_classes,
-                              random_coboundary, smallest_irrep)
+from gradalg.cocycles import Cocycle, enumerate_cocycle_classes, smallest_irrep
 from gradalg.corpus import generate_corpus
 from gradalg.embed import construct, decide, decide_part1, decide_part2
 from gradalg.errors import (DecisionFalse, MismatchedParent,
@@ -20,8 +19,10 @@ from gradalg.galg import GradedHom, GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
 from gradalg.identities import separate_elementary, separate_part1
 from gradalg.scalars import CyclotomicScalar as C
-from gradalg.tuples import (CosetMultiset, exists_shift,
+from gradalg.tuples import (cosets, exists_shift,
                             exists_shift_bruteforce, subsume_mod)
+
+from conftest import random_coboundary
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -4,9 +4,10 @@ import random
 from math import gcd
 
 from gradalg import linalg
-from gradalg.cocycles import (coboundary_solve, enumerate_cocycle_classes,
-                              random_coboundary)
+from gradalg.cocycles import coboundary_solve, enumerate_cocycle_classes
 from gradalg.groups import FiniteGroup
+
+from conftest import random_coboundary
 
 
 def _smith_with_u(mat):

@@ -1,17 +1,19 @@
 """Tuple equivalence, subsumption and shift search."""
 
 import random
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
 from gradalg.groups import FiniteGroup, GTuple, build_group, dihedral_table
-from gradalg.tuples import (CosetMultiset, exists_shift,
-                            exists_shift_bruteforce, subsume_mod)
+from gradalg.tuples import (bipartite_match, cosets, exists_shift,
+                            exists_shift_bruteforce, match_positions,
+                            subsume_mod)
 
 
 def equiv_mod(s, t, subgroup):
     """s ~ t mod H: equal multisets of right cosets."""
-    return CosetMultiset.of(s, subgroup) == CosetMultiset.of(t, subgroup)
+    return cosets(s, subgroup) == cosets(t, subgroup)
 
 
 def test_permutation_equivalence(z10):
@@ -120,3 +122,38 @@ def test_shift_invariance_abelian(g, t_entries, p_entries):
     t = GTuple(z10, t_entries)
     p = GTuple(z10, p_entries)
     assert subsume_mod(t, p, h) == subsume_mod(t.shift(g), p.shift(g), h)
+
+
+def test_match_positions_realises_subsumption(z10):
+    """A positional match exists exactly when the cosets contain the
+    pattern's; it is injective and keeps each entry's coset."""
+    rng = random.Random(3)
+    for h in z10.all_subgroups():
+        for _ in range(30):
+            t = GTuple(z10, [rng.randrange(10)
+                             for _ in range(rng.randrange(1, 6))])
+            p = GTuple(z10, [rng.randrange(10)
+                             for _ in range(rng.randrange(1, 4))])
+            positions = match_positions(t, p, h)
+            assert (positions is not None) == subsume_mod(t, p, h)
+            if positions is not None:
+                assert len(set(positions)) == len(p)
+                assert all(h.coset_rep(t[j]) == h.coset_rep(x)
+                           for j, x in zip(positions, p))
+
+
+def test_bipartite_match_against_permutations():
+    """The matcher finds an assignment exactly when some injection of
+    positions into items respects the pools."""
+    rng = random.Random(5)
+    for _ in range(200):
+        items = list(range(rng.randrange(1, 5)))
+        pools = [{i for i in items if rng.random() < 0.5}
+                 for _ in range(rng.randrange(1, len(items) + 1))]
+        brute = any(all(perm[pos] in pools[pos] for pos in range(len(pools)))
+                    for perm in permutations(items, len(pools)))
+        match = bipartite_match(items, pools)
+        assert (match is not None) == brute
+        if match is not None:
+            assert len(set(match)) == len(pools)
+            assert all(items[k] in pools[pos] for pos, k in enumerate(match))
