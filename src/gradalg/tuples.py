@@ -23,10 +23,14 @@ def cosets(entries, subgroup: Subgroup) -> Counter:
     return Counter(subgroup.coset_rep(x) for x in entries)
 
 
+def _check_same_group(t: GTuple, pattern: GTuple, subgroup: Subgroup):
+    if t.group is not subgroup.parent or pattern.group is not subgroup.parent:
+        raise MismatchedParent("tuples and subgroup from different groups")
+
+
 def subsume_mod(s: GTuple, pattern: GTuple, subgroup: Subgroup) -> bool:
     """s >= pattern mod H: s has a sub-tuple equivalent to the pattern."""
-    if s.group is not subgroup.parent or pattern.group is not subgroup.parent:
-        raise MismatchedParent("tuple and subgroup from different groups")
+    _check_same_group(s, pattern, subgroup)
     return cosets(s, subgroup) >= cosets(pattern, subgroup)
 
 
@@ -49,9 +53,8 @@ def exists_shift(t: GTuple, pattern: GTuple, subgroup: Subgroup) -> int | None:
     covered by some g*t_j, so a candidate from that entry works too.  The
     identity is tried first so aligned instances report g = e.
     """
+    _check_same_group(t, pattern, subgroup)
     group = t.group
-    if group is not pattern.group or group is not subgroup.parent:
-        raise MismatchedParent("mismatched ambient group")
     table, inv = group.table, group.inverses
     candidates = dict.fromkeys(
         [group.identity] + [table[p][inv[x]] for p in pattern for x in t])
@@ -61,6 +64,7 @@ def exists_shift(t: GTuple, pattern: GTuple, subgroup: Subgroup) -> int | None:
 def exists_shift_bruteforce(t: GTuple, pattern: GTuple,
                             subgroup: Subgroup) -> int | None:
     """Whole-group scan; oracle for exists_shift on small groups."""
+    _check_same_group(t, pattern, subgroup)
     return _first_shift(t, pattern, subgroup, t.group.elements())
 
 

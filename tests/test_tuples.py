@@ -3,8 +3,10 @@
 import random
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradalg.errors import MismatchedParent
 from gradalg.groups import FiniteGroup, GTuple, build_group, dihedral_table
 from gradalg.tuples import (bipartite_match, cosets, exists_shift,
                             exists_shift_bruteforce, match_positions,
@@ -111,6 +113,16 @@ def test_exists_shift_matches_bruteforce(d4):
             assert (fast is None) == (brute is None)
             if fast is not None:
                 assert subsume_mod(t.shift(fast), pattern, h)
+
+
+def test_tuples_from_another_group_are_rejected(z4, z10):
+    t, foreign = GTuple(z10, [1, 2]), GTuple(z4, [3])
+    h = z10.trivial_subgroup()
+    for fn in (subsume_mod, exists_shift, exists_shift_bruteforce):
+        with pytest.raises(MismatchedParent):
+            fn(t, foreign, h)
+        with pytest.raises(MismatchedParent):
+            fn(foreign, t, h)
 
 
 @settings(max_examples=50, deadline=None)
