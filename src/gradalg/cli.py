@@ -25,8 +25,8 @@ from .embed import construct, decide
 from .envelope import alpha_envelope
 from .errors import GradAlgError, ParseError, ValidationError
 from .galg import GradedHom, GradedPresentation, verify_hom
-from .groups import build_group, group_to_json, json_ints
-from .identities import get_budget, inclusion_bounded
+from .groups import MAX_GROUP_ORDER, build_group, group_to_json, json_ints
+from .identities import MAX_MULTIDEGREE_LEN, get_budget, inclusion_bounded
 from .scalars import CyclotomicScalar
 from .semisimple import SemisimplePresentation, embed_into_power
 
@@ -103,19 +103,31 @@ def _doc_from_json(raw, root: str) -> InstanceDoc:
             raise ValidationError(f"{root}.jobs[{k}].command",
                                   f"unknown: {cmd!r}")
         max_len = args.get("max_len", 3)
-        if type(max_len) is not int or max_len < 1:
-            raise ValidationError(f"{where}.max_len",
-                                  "max_len must be an integer >= 1")
+        if type(max_len) is not int or not 1 <= max_len <= MAX_MULTIDEGREE_LEN:
+            raise ValidationError(f"{where}.max_len", "max_len must be an "
+                                  f"integer from 1 to {MAX_MULTIDEGREE_LEN}")
         if not isinstance(args.get("cocycle", ""), str):
             raise ValidationError(f"{where}.cocycle",
                                   "cocycle must be a string")
-        for key in ("a", "b"):
-            name = args.get(key)
-            if name is not None:
-                for part in str(name).split(","):
-                    if part not in presentations:
-                        raise ValidationError(f"{where}.{key}",
-                                              f"unknown presentation {part!r}")
+        if cmd == "envelope" and args.get("cocycle") not in cocycles:
+            raise ValidationError(f"{where}.cocycle", "unknown cocycle "
+                                  f"{args.get('cocycle')!r}")
+        # semisimple-embed needs a and b, each a comma-separated list of
+        # names; envelope reads one name in b, and every other command one
+        # in a and one in b, each defaulting to its key in capitals
+        for key in ("b",) if cmd == "envelope" else ("a", "b"):
+            if cmd == "semisimple-embed":
+                names = args.get(key)
+                if not isinstance(names, str):
+                    raise ValidationError(f"{where}.{key}",
+                                          f"{cmd} needs a list of names")
+                names = names.split(",")
+            else:
+                names = [args.get(key, key.upper())]
+            for name in names:
+                if not isinstance(name, str) or name not in presentations:
+                    raise ValidationError(f"{where}.{key}",
+                                          f"unknown presentation {name!r}")
     return InstanceDoc(version, group, presentations, cocycles, jobs)
 
 
@@ -138,14 +150,27 @@ def _doc_slice(doc: InstanceDoc, names) -> dict:
             "presentations": {n: doc.presentations[n].to_json() for n in names}}
 
 
-def _at_least(args, **minimums):
-    """Reject a numeric option below its minimum; None means unset."""
-    for attr, minimum in minimums.items():
-        value = getattr(args, attr)
-        if value is not None and value < minimum:
-            raise ValidationError("--" + attr.replace("_", "-"),
-                                  f"must be an integer >= {minimum}, "
-                                  f"got {value}")
+# the least and the largest value of each numeric option, None for no
+# bound; the corpus cycles through the cyclic groups of order 2..order_bound
+_RANGES = {"order_bound": (2, MAX_GROUP_ORDER), "count": (0, None),
+           "max_len": (1, MAX_MULTIDEGREE_LEN), "limit": (0, None),
+           "budget": (1, None), "workers": (1, None)}
+
+
+def _check_ranges(args):
+    """Reject a numeric option outside its range before any work starts;
+    None means unset."""
+    for attr, (least, largest) in _RANGES.items():
+        value = getattr(args, attr, None)
+        if value is None:
+            continue
+        option = "--" + attr.replace("_", "-")
+        if value < least:
+            raise ValidationError(option, f"must be an integer >= {least}, "
+                                          f"got {value}")
+        if largest is not None and value > largest:
+            raise ValidationError(option, f"must be an integer <= "
+                                          f"{largest}, got {value}")
 
 
 def _emit(report: dict, human: str, verdict_false: bool) -> int:
@@ -155,8 +180,7 @@ def _emit(report: dict, human: str, verdict_false: bool) -> int:
     return 2 if verdict_false else 0
 
 
-def _cmd_decide(args) -> int:
-    doc = _load_doc(args.doc)
+def _cmd_decide(args, doc: InstanceDoc) -> int:
     a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
     t0 = time.time()
     decision = decide(a, b)
@@ -167,8 +191,7 @@ def _cmd_decide(args) -> int:
     return _emit(report, human, not decision.verdict)
 
 
-def _cmd_construct(args) -> int:
-    doc = _load_doc(args.doc)
+def _cmd_construct(args, doc: InstanceDoc) -> int:
     a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
     t0 = time.time()
     decision = decide(a, b)
@@ -255,9 +278,7 @@ def _cmd_verify(args) -> int:
     return _emit(out, human, not cert.is_embedding)
 
 
-def _cmd_inclusion(args) -> int:
-    _at_least(args, max_len=1, budget=1)
-    doc = _load_doc(args.doc)
+def _cmd_inclusion(args, doc: InstanceDoc) -> int:
     a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
     t0 = time.time()
     rep = inclusion_bounded(b, a, args.max_len, get_budget(args.budget))
@@ -275,11 +296,10 @@ def _cmd_inclusion(args) -> int:
     return _emit(report, human, not rep.holds)
 
 
-def _cmd_envelope(args) -> int:
-    doc = _load_doc(args.doc)
+def _cmd_envelope(args, doc: InstanceDoc) -> int:
     b = _presentation(doc, args.b, "--b")
     if args.cocycle not in doc.cocycles:
-        raise ValidationError("$.cocycles", f"unknown cocycle {args.cocycle!r}")
+        raise ValidationError("--cocycle", f"unknown cocycle {args.cocycle!r}")
     alpha = doc.cocycles[args.cocycle]
     env = alpha_envelope(b, alpha)
     cert = verify_hom(env.iso)
@@ -290,8 +310,7 @@ def _cmd_envelope(args) -> int:
     return _emit(report, human, not cert.is_embedding)
 
 
-def _cmd_semisimple(args) -> int:
-    doc = _load_doc(args.doc)
+def _cmd_semisimple(args, doc: InstanceDoc) -> int:
     a_names = args.a.split(",")
     b_names = args.b.split(",")
     a = SemisimplePresentation([_presentation(doc, n, "--a") for n in a_names])
@@ -315,9 +334,6 @@ _JOB_COMMANDS = {"decide": _cmd_decide, "construct": _cmd_construct,
 
 
 def _cmd_corpus(args) -> int:
-    # the corpus cycles through the cyclic groups of order 2..order_bound
-    _at_least(args, order_bound=2, count=0, max_len=1, limit=0, budget=1,
-              workers=1)
     t0 = time.time()
     result = run_corpus(args.seed, args.order_bound, args.count,
                         args.max_len, get_budget(args.budget), args.limit,
@@ -333,22 +349,19 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    """Run each job of the document on the document as read once, with the
+    options its args give (checked by _doc_from_json)."""
     doc = _load_doc(args.doc)
-    worst = 0
-    outputs = []
+    codes = []
     for job in doc.jobs:
-        cmd = job["command"]
-        job_args = argparse.Namespace(doc=args.doc, budget=None, **{
-            "a": job.get("args", {}).get("a", "A"),
-            "b": job.get("args", {}).get("b", "B"),
-            "max_len": job.get("args", {}).get("max_len", 3),
-            "cocycle": job.get("args", {}).get("cocycle"),
-        })
-        code = _JOB_COMMANDS[cmd](job_args)
-        worst = max(worst, code)
-        outputs.append(code)
-    print(f"run: {len(outputs)} jobs, exit codes {outputs}", file=sys.stderr)
-    return worst
+        given = job.get("args", {})
+        job_args = argparse.Namespace(
+            a=given.get("a", "A"), b=given.get("b", "B"),
+            max_len=given.get("max_len", 3), cocycle=given.get("cocycle"),
+            budget=None)
+        codes.append(_JOB_COMMANDS[job["command"]](job_args, doc))
+    print(f"run: {len(codes)} jobs, exit codes {codes}", file=sys.stderr)
+    return max(codes, default=0)
 
 
 @functools.cache
@@ -362,9 +375,10 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def job(name, about):
+        command = _JOB_COMMANDS[name]
         p = sub.add_parser(name, help=about)
         p.add_argument("doc")
-        p.set_defaults(func=_JOB_COMMANDS[name])
+        p.set_defaults(func=lambda args: command(args, _load_doc(args.doc)))
         return p
 
     p = job("decide", "decide embeddability")
@@ -413,6 +427,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except GradAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)

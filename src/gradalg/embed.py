@@ -16,8 +16,9 @@ gives both the rescaling and that action); and each key of the resulting
 pattern-shaped block goes into B through one monomial table, set by the
 matched tuple positions and the representative-replacement factors.  For an
 elementary target over a non-abelian group the block is the right regular
-representation of the twisted subgroup algebra, placed the same way.  Each
-returned map is certified once, by verify_hom.
+representation of the twisted subgroup algebra.  Each route only computes
+its table and its blocks; one builder, _images, tensors every block with
+M_r and places it.  Each returned map is certified once, by verify_hom.
 """
 
 from __future__ import annotations
@@ -256,12 +257,12 @@ def _rho_terms(gamma: Cocycle, beta: Cocycle, d: int) -> dict:
                                  "representation dimension")
     e = gamma.subgroup.parent.identity
     # Each coefficient carries the conductor of root^2 / (beta(e,h) beta(h,e))
-    # with root = beta(e,e).sqrt_root_of_unity(), the unit by which the
+    # with root the canonical square root of beta(e,e), the unit by which the
     # cocycle twist of both sides scales this map.  The unit is 1 for a
-    # normalized cocycle, but root comes back at conductor 4 or more
-    # (zeta_4^0 when beta(e,e) has conductor 1), and to_json prints the
+    # normalized cocycle, but the root zeta_2M^0 of beta(e,e) = 1 at
+    # conductor m has conductor 2M, M = lcm(2, m), and to_json prints the
     # conductor unreduced; keeping it keeps reports byte-identical.
-    root = beta[(e, e)].sqrt_root_of_unity().conductor
+    root = 2 * lcm(2, beta[(e, e)].conductor)
     terms = {}
     for h in gamma.subgroup:
         pad = CyclotomicScalar.one(lcm(root, beta[(e, h)].conductor,
@@ -278,6 +279,24 @@ def _transversal_split(alpha: Cocycle, h_sub: Subgroup, t1: GTuple):
     table = h_sub.parent.table
     split = {table[h][w]: (h, w) for h in h_sub for w in t1}
     return split, {n: alpha.values[hw] for n, hw in split.items()}
+
+
+def _images(a: GradedPresentation, b: GradedPresentation, place,
+            blocks: dict) -> GradedHom:
+    """The map that sends u_g (x) E_ij to the sum of place(m, p * r + i,
+    q * r + j, coeff) over the block terms (m, p, q, coeff) of g, r = a.r:
+    the block of g tensored with the identity of M_r, placed key by key into
+    b.  blocks maps each g in N1 to its terms; images are written in the
+    order of blocks, then i, then j."""
+    r = a.r
+    images = {}
+    for g, block in blocks.items():
+        for i in range(r):
+            for j in range(r):
+                images[(g, i, j)] = b.element(dict(
+                    place(m, p * r + i, q * r + j, coeff)
+                    for m, p, q, coeff in block))
+    return GradedHom(a, b, images)
 
 
 def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
@@ -306,60 +325,37 @@ def _construct_abelian(a: GradedPresentation, b: GradedPresentation,
     rho = _rho_terms(alpha_t.restrict(h_sub).ratio(b.alpha.restrict(h_sub)),
                      b.alpha, d)
 
-    # spread over the transversal by the right regular action, extend over
-    # the matrix part, and place each key into b
+    # spread over the transversal by the right regular action: with
+    # w * n = h_w * w2, row u of the copy at w meets column v of the copy
+    # at w2 at block position (u * |t1| + idx(w), v * |t1| + idx(w2))
     t1_len = len(t1)
     w_index = {w: wi for wi, w in enumerate(t1)}
-    r = a.r
-
-    def flat(u, wi, i):
-        return (u * t1_len + wi) * r + i
-
-    images = {}
+    blocks = {}
     for n in n1:
         c_inv = c[n].inverse()
-        for i in range(r):
-            for j in range(r):
-                terms = {}
-                for w in t1:
-                    h_w, w2 = split[group.table[w][n]]
-                    coeff0 = c_inv * alpha_t.values[(w, n)]
-                    for u, v, sc in rho[h_w]:
-                        key, val = place(h_w, flat(u, w_index[w], i),
-                                         flat(v, w_index[w2], j), coeff0 * sc)
-                        terms[key] = val
-                images[(n, i, j)] = b.element(terms)
-    return GradedHom(a, b, images)
+        block = blocks[n] = []
+        for wi, w in enumerate(t1):
+            h_w, w2 = split[group.table[w][n]]
+            coeff0 = c_inv * alpha_t.values[(w, n)]
+            block += [(h_w, u * t1_len + wi, v * t1_len + w_index[w2],
+                       coeff0 * sc) for u, v, sc in rho[h_w]]
+    return _images(a, b, place, blocks)
 
 
 def _construct_elementary(a: GradedPresentation, b: GradedPresentation,
                           decision: EmbedDecision) -> GradedHom:
+    """The right regular representation of the twisted subgroup algebra:
+    u_h moves position x to position xh with coefficient alpha(x, h)."""
     group = a.group
     h_members = sorted(a.H.members)
     h_index = {h: k for k, h in enumerate(h_members)}
     place = _placement(b, decision.shift, decision.pattern,
                        group.trivial_subgroup())
-
-    # right regular representation of the twisted subgroup algebra
     e = group.identity
-    r = a.r
-
-    def flat(hk, i):
-        return hk * r + i
-
-    images = {}
-    for h in a.H:
-        for i in range(r):
-            for j in range(r):
-                terms = {}
-                for x in h_members:
-                    xh = group.table[x][h]
-                    key, val = place(e, flat(h_index[x], i),
-                                     flat(h_index[xh], j),
-                                     a.alpha.values[(x, h)])
-                    terms[key] = val
-                images[(h, i, j)] = b.element(terms)
-    return GradedHom(a, b, images)
+    blocks = {h: [(e, h_index[x], h_index[group.table[x][h]],
+                   a.alpha.values[(x, h)]) for x in h_members]
+              for h in a.H}
+    return _images(a, b, place, blocks)
 
 
 def _build(a: GradedPresentation, b: GradedPresentation,

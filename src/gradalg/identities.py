@@ -56,6 +56,14 @@ from .tuples import bipartite_match, coset_positions
 ONE = CyclotomicScalar.one()
 DEFAULT_BUDGET = 10_000_000
 
+# The longest multidegree a sweep accepts.  A sweep of length n builds n!
+# words and their trie, and its kernel up to n! vectors of n! entries: on a
+# one-dimensional algebra, with one assignment, length 7 takes 214 MB and
+# length 8 more than 2.9 GB.  The budget counts assignments and cannot see
+# this.  The corpus sweeps to length 3 or 4, and separate_bounded has found
+# separators at length 5.
+MAX_MULTIDEGREE_LEN = 6
+
 
 def get_budget(override: int | None = None) -> int:
     if override is not None:
@@ -69,6 +77,13 @@ def get_budget(override: int | None = None) -> int:
         raise ValidationError("GRADALG_BUDGET",
                               f"must be a positive integer, got {raw!r}")
     return budget
+
+
+def _check_length(n: int):
+    """Refuse a sweep past MAX_MULTIDEGREE_LEN before any word is built."""
+    if n > MAX_MULTIDEGREE_LEN:
+        raise BudgetExceeded(f"multidegree length {n} exceeds "
+                             f"{MAX_MULTIDEGREE_LEN}")
 
 
 def perm_sign(word) -> int:
@@ -345,14 +360,16 @@ class IdentitySpace:
 def identity_space(algebra, degrees, budget: int | None = None) -> IdentitySpace:
     """Exact kernel of (coefficients -> evaluations over all basis tuples).
 
-    The budget caps the a-priori assignment count.  The sweep stops once the
+    The budget caps the a-priori assignment count, and a multidegree longer
+    than MAX_MULTIDEGREE_LEN is refused.  The sweep stops once the
     rows reach full column rank: more rows only enlarge the row space, so
     the kernel stays {0}.  With no assignments every vector is in the
     kernel.  Spaces are not memoised; each call sweeps afresh.
     """
     degrees = tuple(degrees)
-    budget = get_budget(budget)
     n = len(degrees)
+    _check_length(n)
+    budget = get_budget(budget)
     words = list(permutations(range(n)))
     pools = [algebra.component(g) for g in degrees]
     trie = _word_trie(words)
@@ -385,8 +402,10 @@ def inclusion_bounded(b_algebra, a_algebra, max_len: int,
 
     Multidegrees run over sorted tuples from the union support: a permutation
     of the multidegree relabels variables identically on both sides, so one
-    representative per multiset decides all its rearrangements.
+    representative per multiset decides all its rearrangements.  A max_len
+    above MAX_MULTIDEGREE_LEN is refused before the first sweep.
     """
+    _check_length(max_len)
     supp = sorted(set(a_algebra.support()) | set(b_algebra.support()))
     checked = []
     for length in range(1, max_len + 1):

@@ -26,6 +26,11 @@ def z4():
 
 
 @pytest.fixture(scope="session")
+def z6():
+    return FiniteGroup.cyclic(6)
+
+
+@pytest.fixture(scope="session")
 def z10():
     return FiniteGroup.cyclic(10)
 

@@ -11,12 +11,12 @@ import pytest
 from gradalg.cocycles import (Cocycle, enumerate_cocycle_classes,
                               smallest_irrep)
 from gradalg.corpus import generate_corpus, run_instance
-from gradalg.embed import construct, decide, decide_part1, decide_part2
+from gradalg.embed import construct, decide
 from gradalg.envelope import alpha_envelope, round_trip_iso
 from gradalg.galg import GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple, build_group, dihedral_table
 from gradalg.identities import (is_identity, separate_elementary,
-                                standard_poly, inclusion_bounded)
+                                standard_poly)
 from gradalg.semisimple import (SemisimplePresentation, embed_into_power,
                                 minimal_set, pair_inclusion)
 from gradalg.tuples import exists_shift, exists_shift_bruteforce, subsume_mod

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gradalg import scalars
+from gradalg import cli, scalars
 from gradalg.cli import main, parse_doc
 from gradalg.corpus import run_corpus
 from gradalg.errors import ParseError, ValidationError
-from gradalg.groups import MAX_CONDUCTOR
+from gradalg.groups import MAX_CONDUCTOR, MAX_GROUP_ORDER, FiniteGroup
+from gradalg.identities import MAX_MULTIDEGREE_LEN
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -168,6 +169,54 @@ def test_run_rejects_unknown_job_command(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: $.jobs[2].command: unknown: {command!r}" in err
+
+
+@pytest.mark.parametrize("job, path", [
+    ({"command": "semisimple-embed"}, "$.jobs[2].args.a"),
+    ({"command": "envelope", "args": {"b": "B2"}}, "$.jobs[2].args.cocycle"),
+    ({"command": "decide", "args": {"a": "A,B2", "b": "B2"}},
+     "$.jobs[2].args.a"),
+    ({**_INCLUSION, "args": {"a": "A", "b": "B2",
+                             "max_len": MAX_MULTIDEGREE_LEN + 1}},
+     "$.jobs[2].args.max_len"),
+], ids=["semisimple-without-names", "envelope-without-cocycle",
+        "decide-with-a-list", "max-len-above-the-bound"])
+def test_run_reports_a_job_without_what_its_command_needs(tmp_path, capsys,
+                                                          job, path):
+    """Each job is checked against what its command reads, at the job's
+    JSON path and before any job runs.  These once failed as `--b`, as
+    `$.cocycles` and, after two jobs had run, as `--a`; the last one ran a
+    length-7 sweep."""
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(_klein_with_job(job)))
+    assert main(["run", str(doc_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: {path}: " in captured.err
+
+
+def test_run_reads_its_document_once(capsys, monkeypatch):
+    """A three-job `run` parses its document once (it once parsed it four
+    times, re-validating every cocycle each time), and writes the reports
+    each job writes as a command of its own."""
+    monkeypatch.delenv("GRADALG_BUDGET", raising=False)
+    expected = ""
+    for job in json.loads(Path(_KLEIN).read_text())["jobs"]:
+        args = job["args"]
+        main([job["command"], _KLEIN, "--a", args["a"], "--b", args["b"]])
+        expected += capsys.readouterr().out
+    calls = []
+    original = cli.parse_doc
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(cli, "parse_doc", counted)
+    assert main(["run", _KLEIN]) == 2
+    assert len(calls) == 1
+    assert capsys.readouterr().out == expected
 
 
 # paths into the klein_twisted fixture: "*" stands for any presentation
@@ -515,6 +564,69 @@ def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert f"error: {flag}: must be an integer >= " in captured.err
+
+
+@pytest.mark.parametrize("argv, flag, bound", [
+    (["identity-inclusion", _KLEIN, "--b", "B2", "--max-len", "7"],
+     "--max-len", MAX_MULTIDEGREE_LEN),
+    (["corpus-run", "--count", "2", "--max-len", "7"], "--max-len",
+     MAX_MULTIDEGREE_LEN),
+    (["corpus-run", "--count", "1", "--order-bound", "257"], "--order-bound",
+     MAX_GROUP_ORDER),
+], ids=["inclusion-max-len", "corpus-max-len", "corpus-order-bound"])
+def test_cli_rejects_numbers_above_their_bound(capsys, monkeypatch, argv,
+                                               flag, bound):
+    """A sweep longer than MAX_MULTIDEGREE_LEN and a corpus over groups
+    larger than MAX_GROUP_ORDER are refused before any group is built
+    (FiniteGroup.cyclic is made to fail here).  `--order-bound 5000` once
+    built every cyclic table up to 5000 and ended in a MemoryError."""
+    def refuse(cls, n):
+        raise AssertionError(f"cyclic group of order {n} built")
+
+    monkeypatch.setattr(FiniteGroup, "cyclic", classmethod(refuse))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: {flag}: must be an integer <= {bound}, " in captured.err
+
+
+def _refused_construct_doc():
+    """Over Z/4: A = (Z/4, alpha, (0)) with alpha = d(mu), mu(1) = zeta_509,
+    mu(3) = zeta_509^508 and mu(0) = mu(2) = 1, its values on H = {0, 2}
+    (all 1) written at conductor 1 and the others at 509; and B = ({0, 2},
+    1, (0, 1))."""
+    mu = {0: 0, 1: 1, 2: 0, 3: 508}
+    alpha = [[_one_at(1) if a % 2 == b % 2 == 0 else
+              scalars.CyclotomicScalar.zeta(
+                  509, (mu[a] + mu[b] - mu[(a + b) % 4]) % 509).to_json()
+              for b in range(4)] for a in range(4)]
+    return {"group": {"kind": "cyclic", "n": 4}, "presentations": {
+        "A": {"H": {"elements": [0, 1, 2, 3]}, "s": {"entries": [0]},
+              "alpha": {"subgroup": {"elements": [0, 1, 2, 3]},
+                        "values": alpha}},
+        "B": {"H": {"elements": [0, 2]}, "s": {"entries": [0, 1]},
+              "alpha": {"subgroup": {"elements": [0, 2]},
+                        "values": [[_one_at(1)] * 2] * 2}}}}
+
+
+def test_true_decision_may_be_refused_at_construction(tmp_path, capsys):
+    """The decision reads alpha only on H, at conductor 1, and is true.
+    Construction rescales along the transversal by zeta_509 values, which
+    meet the splitting's conductor 4 at lcm(509, 4) = 2036, above
+    MAX_CONDUCTOR: the map is refused with ConductorTooLarge, exit 1 and
+    no traceback."""
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(_refused_construct_doc()))
+    assert main(["decide", str(doc_path)]) == 0
+    decision = json.loads(capsys.readouterr().out)["decision"]
+    assert (decision["verdict"], decision["d"], decision["shift"]) == (
+        True, 1, 0)
+    assert main(["construct", str(doc_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: conductor 2036 exceeds {MAX_CONDUCTOR}" in captured.err
 
 
 def test_decide_exit_codes():

@@ -19,8 +19,7 @@ from gradalg.galg import GradedHom, GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
 from gradalg.identities import separate_elementary, separate_part1
 from gradalg.scalars import CyclotomicScalar as C
-from gradalg.tuples import (cosets, exists_shift,
-                            exists_shift_bruteforce, subsume_mod)
+from gradalg.tuples import exists_shift, exists_shift_bruteforce, subsume_mod
 
 from conftest import random_coboundary
 
@@ -520,7 +519,8 @@ def _small_presentations(group):
 @pytest.mark.parametrize("group, expected", [
     ("z4", (42, 800, 608)),
     pytest.param("klein", (84, 2588, 1424), marks=pytest.mark.slow),
-], ids=["Z4", "Z2xZ2"])
+    pytest.param("z6", (108, 4365, 3123), marks=pytest.mark.slow),
+], ids=["Z4", "Z2xZ2", "Z6"])
 def test_theorem_oracle_on_small_groups(request, group, expected):
     """Over every ordered pair of small presentations: decide agrees with
     decide_part1 and decide_part2 where they apply and with the whole-group

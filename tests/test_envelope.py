@@ -8,11 +8,9 @@ from gradalg.cocycles import Cocycle, enumerate_cocycle_classes
 from gradalg.envelope import alpha_envelope, falpha, genvelope, round_trip_iso
 from gradalg.errors import MismatchedGroup
 from gradalg.galg import GradedHom, GradedPresentation, verify_hom
-from gradalg.groups import FiniteGroup, GTuple
+from gradalg.groups import GTuple
 from gradalg.identities import MultilinearPoly, identity_space, is_identity
 from gradalg.scalars import CyclotomicScalar as C
-
-from test_cocycles import klein_alpha
 
 
 def test_envelope_component_dims(klein, klein_classes):

@@ -14,7 +14,7 @@ from gradalg.errors import MismatchedParent
 from gradalg.galg import (DirectSumAlgebra, GradedHom, GradedPresentation,
                           HomCertificate, StructureAlgebra, sub_presentation,
                           verify_hom)
-from gradalg.groups import FiniteGroup, GTuple, Subgroup
+from gradalg.groups import GTuple
 from gradalg.identities import identity_space
 from gradalg.scalars import CyclotomicScalar as C
 from gradalg.semisimple import SemisimplePresentation, embed_into_power

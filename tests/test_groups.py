@@ -9,7 +9,7 @@ from gradalg.errors import (MismatchedParent, NotAssociative, NotLatinSquare,
                             NotSubgroup)
 from gradalg.galg import GradedPresentation
 from gradalg.groups import (MAX_GROUP_ORDER, FiniteGroup, GTuple, Subgroup,
-                            build_group, dihedral_table, group_to_json)
+                            build_group, group_to_json)
 
 
 def s3_table():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
@@ -16,8 +17,9 @@ from gradalg.errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
                             NotFoundWithinBudget, ValidationError)
 from gradalg.galg import DirectSumAlgebra, GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
-from gradalg.identities import (MultilinearPoly, ProductPoly, evaluate,
-                                identity_space, inclusion_bounded, is_identity,
+from gradalg.identities import (MAX_MULTIDEGREE_LEN, MultilinearPoly,
+                                ProductPoly, evaluate, identity_space,
+                                inclusion_bounded, is_identity,
                                 separate_bounded, separate_elementary,
                                 separate_part1, standard_poly)
 from gradalg.scalars import CyclotomicScalar as C
@@ -134,6 +136,22 @@ def test_budget_guard():
         is_identity(f, m3, budget=10)
     with pytest.raises(BudgetExceeded):
         identity_space(m3, (0, 0, 0), budget=10)
+
+
+def test_sweeps_past_the_length_bound_are_refused_before_any_word():
+    """The one-dimensional elementary presentation of Z2 sweeps one
+    assignment at each length; at length 8 that once built 8! words and ran
+    out of memory after 11 s at 2.9 GB.  The length bound refuses it, and an
+    inclusion check reaching it, before any word is built."""
+    z2 = FiniteGroup.cyclic(2)
+    a = GradedPresentation.elementary(z2, GTuple(z2, [0]))
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="length 8 exceeds"):
+        identity_space(a, (0,) * 8)
+    with pytest.raises(BudgetExceeded,
+                       match=f"length {MAX_MULTIDEGREE_LEN + 1} exceeds"):
+        inclusion_bounded(a, a, MAX_MULTIDEGREE_LEN + 1)
+    assert time.perf_counter() - started < 1
 
 
 def test_inclusion_reflexive_and_subtuple(z10):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradalg.errors import MismatchedParent
-from gradalg.groups import FiniteGroup, GTuple, build_group, dihedral_table
+from gradalg.groups import FiniteGroup, GTuple
 from gradalg.tuples import (bipartite_match, cosets, exists_shift,
                             exists_shift_bruteforce, match_positions,
                             subsume_mod)
