@@ -150,15 +150,28 @@ _TOO_LARGE_IDS = ["large-cyclic", "large-product", "large-table"]
     ({**_klein_with_job(_INCLUSION), "version": 1.0}, ["run"], "$.version"),
     *[({"group": group, "presentations": {"A": _TRIVIAL}}, ["decide"],
        "$.group") for group in _NOT_INTEGER_GROUPS + _TOO_LARGE_GROUPS],
+    # each job is checked against what its command reads before any job
+    # runs; these once failed as `--b`, as `$.cocycles` and, after two jobs
+    # had run, as `--a`, and the last one ran a length-7 sweep
+    (_klein_with_job({"command": "semisimple-embed"}), ["run"],
+     "$.jobs[2].args.a"),
+    (_klein_with_job({"command": "envelope", "args": {"b": "B2"}}), ["run"],
+     "$.jobs[2].args.cocycle"),
+    (_klein_with_job({"command": "decide", "args": {"a": "A,B2", "b": "B2"}}),
+     ["run"], "$.jobs[2].args.a"),
+    (_klein_with_job({**_INCLUSION, "args": {
+        "a": "A", "b": "B2", "max_len": MAX_MULTIDEGREE_LEN + 1}}),
+     ["run"], "$.jobs[2].args.max_len"),
 ])
 def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
                                                         argv, path):
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(doc))
     assert main([*argv, str(doc_path)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert f"error: {path}: " in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: {path}: " in captured.err
 
 
 @pytest.mark.parametrize("command", ["x", ["decide"], None])
@@ -169,31 +182,6 @@ def test_run_rejects_unknown_job_command(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: $.jobs[2].command: unknown: {command!r}" in err
-
-
-@pytest.mark.parametrize("job, path", [
-    ({"command": "semisimple-embed"}, "$.jobs[2].args.a"),
-    ({"command": "envelope", "args": {"b": "B2"}}, "$.jobs[2].args.cocycle"),
-    ({"command": "decide", "args": {"a": "A,B2", "b": "B2"}},
-     "$.jobs[2].args.a"),
-    ({**_INCLUSION, "args": {"a": "A", "b": "B2",
-                             "max_len": MAX_MULTIDEGREE_LEN + 1}},
-     "$.jobs[2].args.max_len"),
-], ids=["semisimple-without-names", "envelope-without-cocycle",
-        "decide-with-a-list", "max-len-above-the-bound"])
-def test_run_reports_a_job_without_what_its_command_needs(tmp_path, capsys,
-                                                          job, path):
-    """Each job is checked against what its command reads, at the job's
-    JSON path and before any job runs.  These once failed as `--b`, as
-    `$.cocycles` and, after two jobs had run, as `--a`; the last one ran a
-    length-7 sweep."""
-    doc_path = tmp_path / "doc.json"
-    doc_path.write_text(json.dumps(_klein_with_job(job)))
-    assert main(["run", str(doc_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert f"error: {path}: " in captured.err
 
 
 def test_run_reads_its_document_once(capsys, monkeypatch):
