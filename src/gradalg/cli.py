@@ -91,57 +91,25 @@ def _doc_from_json(raw, root: str) -> InstanceDoc:
         except Exception as exc:
             raise ValidationError(f"{root}.cocycles.{name}",
                                   str(exc)) from None
-    jobs = _section(raw, "jobs", list, root)
-    for k, job in enumerate(jobs):
+    doc = InstanceDoc(version, group, presentations, cocycles,
+                      _section(raw, "jobs", list, root))
+    for k, job in enumerate(doc.jobs):
         if not isinstance(job, dict):
             raise ValidationError(f"{root}.jobs[{k}]", "job must be an object")
         args, where = job.get("args", {}), f"{root}.jobs[{k}].args"
         if not isinstance(args, dict):
             raise ValidationError(where, "args must be an object")
         cmd = job.get("command")
-        if not isinstance(cmd, str) or cmd not in _JOB_COMMANDS:
+        if not isinstance(cmd, str) or cmd not in _JOBS:
             raise ValidationError(f"{root}.jobs[{k}].command",
                                   f"unknown: {cmd!r}")
-        max_len = args.get("max_len", 3)
-        if type(max_len) is not int or not 1 <= max_len <= MAX_MULTIDEGREE_LEN:
-            raise ValidationError(f"{where}.max_len", "max_len must be an "
-                                  f"integer from 1 to {MAX_MULTIDEGREE_LEN}")
-        if not isinstance(args.get("cocycle", ""), str):
-            raise ValidationError(f"{where}.cocycle",
-                                  "cocycle must be a string")
-        if cmd == "envelope" and args.get("cocycle") not in cocycles:
-            raise ValidationError(f"{where}.cocycle", "unknown cocycle "
-                                  f"{args.get('cocycle')!r}")
-        # semisimple-embed needs a and b, each a comma-separated list of
-        # names; envelope reads one name in b, and every other command one
-        # in a and one in b, each defaulting to its key in capitals
-        for key in ("b",) if cmd == "envelope" else ("a", "b"):
-            if cmd == "semisimple-embed":
-                names = args.get(key)
-                if not isinstance(names, str):
-                    raise ValidationError(f"{where}.{key}",
-                                          f"{cmd} needs a list of names")
-                names = names.split(",")
-            else:
-                names = [args.get(key, key.upper())]
-            for name in names:
-                if not isinstance(name, str) or name not in presentations:
-                    raise ValidationError(f"{where}.{key}",
-                                          f"unknown presentation {name!r}")
-    return InstanceDoc(version, group, presentations, cocycles, jobs)
+        _check(cmd, args, f"{where}.{{}}".format, doc)
+    return doc
 
 
 def _load_doc(path: str) -> InstanceDoc:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_doc(fh.read())
-
-
-def _presentation(doc: InstanceDoc, name, option: str):
-    """The presentation a command-line option or report field names, which
-    the doc must hold."""
-    if not isinstance(name, str) or name not in doc.presentations:
-        raise ValidationError(option, f"unknown presentation {name!r}")
-    return doc.presentations[name]
 
 
 def _doc_slice(doc: InstanceDoc, names) -> dict:
@@ -150,27 +118,47 @@ def _doc_slice(doc: InstanceDoc, names) -> dict:
             "presentations": {n: doc.presentations[n].to_json() for n in names}}
 
 
-# the least and the largest value of each numeric option, None for no
-# bound; the corpus cycles through the cyclic groups of order 2..order_bound
-_RANGES = {"order_bound": (2, MAX_GROUP_ORDER), "count": (0, None),
-           "max_len": (1, MAX_MULTIDEGREE_LEN), "limit": (0, None),
-           "budget": (1, None), "workers": (1, None)}
-
-
-def _check_ranges(args):
-    """Reject a numeric option outside its range before any work starts;
-    None means unset."""
-    for attr, (least, largest) in _RANGES.items():
-        value = getattr(args, attr, None)
-        if value is None:
+def _check(command: str, given: dict, where, doc=None):
+    """Check the options `given` to `command` against its row of _COMMANDS,
+    each error at the path `where(key)`: every key must be an option of the
+    command, each required option given, and each value given of its kind.
+    Once the document is read (`doc`), every name an option holds or
+    defaults to must be one the document holds."""
+    options = _COMMANDS[command][3]
+    for key in given:
+        if key not in options:
+            raise ValidationError(where(key), f"{command} takes no {key}")
+    for key, (default, kind) in options.items():
+        if key not in given:
+            if default is _REQUIRED:
+                raise ValidationError(where(key), f"{command} needs {key}")
             continue
-        option = "--" + attr.replace("_", "-")
-        if value < least:
-            raise ValidationError(option, f"must be an integer >= {least}, "
-                                          f"got {value}")
-        if largest is not None and value > largest:
-            raise ValidationError(option, f"must be an integer <= "
-                                          f"{largest}, got {value}")
+        value = given[key]
+        if isinstance(kind, tuple):
+            least, largest = kind
+            # type(...) is int: a JSON true is a bool, which Python reads as 1
+            if type(value) is not int:
+                raise ValidationError(where(key), f"must be an integer, "
+                                                  f"got {value!r}")
+            if least is not None and value < least:
+                raise ValidationError(where(key), f"must be an integer >= "
+                                                  f"{least}, got {value}")
+            if largest is not None and value > largest:
+                raise ValidationError(where(key), f"must be an integer <= "
+                                                  f"{largest}, got {value}")
+        elif not isinstance(value, str):
+            raise ValidationError(where(key), f"{key} must be a string")
+    if doc is None:
+        return
+    for key, (default, kind) in options.items():
+        if isinstance(kind, tuple):
+            continue
+        value = given.get(key, default)
+        noun = _COCYCLE if kind == _COCYCLE else _NAME
+        known = doc.cocycles if kind == _COCYCLE else doc.presentations
+        for name in value.split(",") if kind == _NAMES else [value]:
+            if name not in known:
+                raise ValidationError(where(key), f"unknown {noun} {name!r}")
 
 
 def _emit(report: dict, human: str, verdict_false: bool) -> int:
@@ -181,7 +169,7 @@ def _emit(report: dict, human: str, verdict_false: bool) -> int:
 
 
 def _cmd_decide(args, doc: InstanceDoc) -> int:
-    a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
+    a, b = doc.presentations[args.a], doc.presentations[args.b]
     t0 = time.time()
     decision = decide(a, b)
     report = {"command": "decide", "a": args.a, "b": args.b,
@@ -192,7 +180,7 @@ def _cmd_decide(args, doc: InstanceDoc) -> int:
 
 
 def _cmd_construct(args, doc: InstanceDoc) -> int:
-    a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
+    a, b = doc.presentations[args.a], doc.presentations[args.b]
     t0 = time.time()
     decision = decide(a, b)
     if not decision.verdict:
@@ -226,8 +214,10 @@ def _hom_from_report(report: dict):
     if "doc" not in report:
         raise ValidationError("$.doc", "missing document slice")
     doc = _doc_from_json(report["doc"], "$.doc")
-    a = _presentation(doc, report.get("a"), "$.a")
-    b = _presentation(doc, report.get("b"), "$.b")
+    # the map's ends are named as the construct command names them
+    _check("construct", {"a": report.get("a"), "b": report.get("b")},
+           "$.{}".format, doc)
+    a, b = doc.presentations[report["a"]], doc.presentations[report["b"]]
     src_keys, tgt_keys = set(a.basis_keys()), set(b.basis_keys())
     hom = report["hom"]
     entries = hom.get("images") if isinstance(hom, dict) else None
@@ -279,7 +269,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_inclusion(args, doc: InstanceDoc) -> int:
-    a, b = _presentation(doc, args.a, "--a"), _presentation(doc, args.b, "--b")
+    a, b = doc.presentations[args.a], doc.presentations[args.b]
     t0 = time.time()
     rep = inclusion_bounded(b, a, args.max_len, get_budget(args.budget))
     violation = None
@@ -297,11 +287,7 @@ def _cmd_inclusion(args, doc: InstanceDoc) -> int:
 
 
 def _cmd_envelope(args, doc: InstanceDoc) -> int:
-    b = _presentation(doc, args.b, "--b")
-    if args.cocycle not in doc.cocycles:
-        raise ValidationError("--cocycle", f"unknown cocycle {args.cocycle!r}")
-    alpha = doc.cocycles[args.cocycle]
-    env = alpha_envelope(b, alpha)
+    env = alpha_envelope(doc.presentations[args.b], doc.cocycles[args.cocycle])
     cert = verify_hom(env.iso)
     report = {"command": "envelope", "b": args.b, "cocycle": args.cocycle,
               "presentation": env.presentation.to_json(),
@@ -313,8 +299,8 @@ def _cmd_envelope(args, doc: InstanceDoc) -> int:
 def _cmd_semisimple(args, doc: InstanceDoc) -> int:
     a_names = args.a.split(",")
     b_names = args.b.split(",")
-    a = SemisimplePresentation([_presentation(doc, n, "--a") for n in a_names])
-    b = SemisimplePresentation([_presentation(doc, n, "--b") for n in b_names])
+    a = SemisimplePresentation([doc.presentations[n] for n in a_names])
+    b = SemisimplePresentation([doc.presentations[n] for n in b_names])
     t0 = time.time()
     copies, hom, cert = embed_into_power(a, b)
     report = {"command": "semisimple-embed", "a": a_names, "b": b_names,
@@ -325,19 +311,10 @@ def _cmd_semisimple(args, doc: InstanceDoc) -> int:
     return _emit(report, human, not cert.is_embedding)
 
 
-# the commands a document's jobs may name: the validator, `run` and the
-# parser all read this one table
-_JOB_COMMANDS = {"decide": _cmd_decide, "construct": _cmd_construct,
-                 "identity-inclusion": _cmd_inclusion,
-                 "envelope": _cmd_envelope,
-                 "semisimple-embed": _cmd_semisimple}
-
-
 def _cmd_corpus(args) -> int:
     t0 = time.time()
     result = run_corpus(args.seed, args.order_bound, args.count,
-                        args.max_len, get_budget(args.budget), args.limit,
-                        args.workers)
+                        args.max_len, get_budget(args.budget), args.workers)
     report = {"command": "corpus-run", **result}
     human = (f"corpus-run seed={args.seed}: {result['count']} instances, "
              f"{result['true_decisions']} true / "
@@ -348,20 +325,63 @@ def _cmd_corpus(args) -> int:
     return _emit(report, human, False)
 
 
-def _cmd_run(args) -> int:
-    """Run each job of the document on the document as read once, with the
-    options its args give (checked by _doc_from_json)."""
-    doc = _load_doc(args.doc)
+def _cmd_run(args, doc: InstanceDoc) -> int:
+    """Run each job of the document as read and checked once, with the
+    options its args give and the defaults of _COMMANDS for the rest."""
     codes = []
     for job in doc.jobs:
-        given = job.get("args", {})
-        job_args = argparse.Namespace(
-            a=given.get("a", "A"), b=given.get("b", "B"),
-            max_len=given.get("max_len", 3), cocycle=given.get("cocycle"),
-            budget=None)
-        codes.append(_JOB_COMMANDS[job["command"]](job_args, doc))
+        handler, _, _, options = _COMMANDS[job["command"]]
+        values = {key: default for key, (default, _) in options.items()}
+        values.update(job.get("args", {}))
+        codes.append(handler(argparse.Namespace(**values), doc))
     print(f"run: {len(codes)} jobs, exit codes {codes}", file=sys.stderr)
     return max(codes, default=0)
+
+
+# The kind of an option's value: a name of a presentation (_NAME), a
+# comma-separated list of them (_NAMES) or a name of a cocycle (_COCYCLE),
+# each of which the document must hold; or an integer from least to largest,
+# written (least, largest) with None for no bound.  _REQUIRED stands for the
+# default of an option that has none.
+_NAME, _NAMES, _COCYCLE = "presentation", "presentations", "cocycle"
+_REQUIRED = object()
+_PAIR = {"a": ("A", _NAME), "b": ("B", _NAME)}
+_SWEEP = {"max_len": (3, (1, MAX_MULTIDEGREE_LEN)),
+          "budget": (None, (1, None))}
+
+# Every command: its handler, its help line, its positional argument and its
+# options, each option mapped to its default and its kind.  The parser,
+# _check and `run` all read this one table.  A command whose positional
+# argument is `doc` gets the document as read and checked; each but `run`
+# may be named by a job of a document, whose args may hold exactly the
+# command's options.
+_COMMANDS = {
+    "decide": (_cmd_decide, "decide embeddability", "doc", _PAIR),
+    "construct": (_cmd_construct, "build and certify an embedding", "doc",
+                  _PAIR),
+    "verify": (_cmd_verify, "re-verify a construct report", "report", {}),
+    "identity-inclusion": (_cmd_inclusion,
+                           "bounded identity-space inclusion check", "doc",
+                           {**_PAIR, **_SWEEP}),
+    "envelope": (_cmd_envelope, "cocycle twist with certified iso", "doc",
+                 {"b": _PAIR["b"], "cocycle": (_REQUIRED, _COCYCLE)}),
+    "semisimple-embed": (_cmd_semisimple,
+                         "embed a direct sum into a power of the target",
+                         "doc", {"a": (_REQUIRED, _NAMES),
+                                 "b": (_REQUIRED, _NAMES)}),
+    "corpus-run": (_cmd_corpus, "seeded corpus sweep", None,
+                   {"seed": (0, (None, None)),
+                    "order_bound": (6, (2, MAX_GROUP_ORDER)),
+                    "count": (220, (0, None)), **_SWEEP,
+                    "workers": (1, (1, None))}),
+    "run": (_cmd_run, "execute the jobs listed in a document", "doc", {}),
+}
+_JOBS = {name for name, (_, _, arg, _) in _COMMANDS.items()
+         if arg == "doc"} - {"run"}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @functools.cache
@@ -373,66 +393,34 @@ def _parser() -> argparse.ArgumentParser:
         description="decide, build and verify graded embeddings of "
                     "graded-simple algebra presentations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def job(name, about):
-        command = _JOB_COMMANDS[name]
+    for name, (_, about, arg, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=about)
-        p.add_argument("doc")
-        p.set_defaults(func=lambda args: command(args, _load_doc(args.doc)))
-        return p
-
-    p = job("decide", "decide embeddability")
-    p.add_argument("--a", default="A")
-    p.add_argument("--b", default="B")
-
-    p = job("construct", "build and certify an embedding")
-    p.add_argument("--a", default="A")
-    p.add_argument("--b", default="B")
-
-    p = sub.add_parser("verify", help="re-verify a construct report")
-    p.add_argument("report")
-    p.set_defaults(func=_cmd_verify)
-
-    p = job("identity-inclusion", "bounded identity-space inclusion check")
-    p.add_argument("--a", default="A")
-    p.add_argument("--b", default="B")
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--budget", type=int, default=None)
-
-    p = job("envelope", "cocycle twist with certified iso")
-    p.add_argument("--b", default="B")
-    p.add_argument("--cocycle", required=True)
-
-    p = job("semisimple-embed",
-            "embed a direct sum into a power of the target")
-    p.add_argument("--a", required=True, help="comma-separated component names")
-    p.add_argument("--b", required=True, help="comma-separated component names")
-
-    p = sub.add_parser("corpus-run", help="seeded corpus sweep")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order-bound", type=int, default=6)
-    p.add_argument("--count", type=int, default=220)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_corpus)
-
-    p = sub.add_parser("run", help="execute the jobs listed in a document")
-    p.add_argument("doc")
-    p.set_defaults(func=_cmd_run)
+        if arg is not None:
+            p.add_argument(arg)
+        for key, (default, kind) in options.items():
+            p.add_argument(
+                _flag(key), type=int if isinstance(kind, tuple) else str,
+                default=None if default is _REQUIRED else default,
+                required=default is _REQUIRED,
+                help="comma-separated presentation names"
+                     if kind == _NAMES else None)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    handler, _, arg, options = _COMMANDS[args.command]
+    # on the command line an option is None only when it is left unset
+    given = {key: getattr(args, key) for key in options
+             if getattr(args, key) is not None}
     try:
-        _check_ranges(args)
-        return args.func(args)
-    except GradAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        _check(args.command, given, _flag)
+        if arg != "doc":
+            return handler(args)
+        doc = _load_doc(args.doc)
+        _check(args.command, given, _flag, doc)
+        return handler(args, doc)
+    except (GradAlgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from .cocycles import enumerate_cocycle_classes
 from .embed import construct, decide, decide_part1, decide_part2
 from .errors import (BudgetExceeded, NotFoundWithinBudget, VerificationFailed)
 from .galg import GradedPresentation
-from .groups import FiniteGroup, GTuple
+from .groups import MAX_GROUP_ORDER, FiniteGroup, GTuple
 from .identities import (inclusion_bounded, separate_elementary,
                          separate_part1, separate_bounded)
 
@@ -25,6 +25,13 @@ MAX_TUPLE_LEN = 3
 
 
 def ambient_groups(order_bound: int = 6) -> list[FiniteGroup]:
+    """The cyclic groups of order 2 up to `order_bound`, and Z2 x Z2 from
+    order bound 4 on.  A bound outside 2..MAX_GROUP_ORDER is refused before
+    any table is built: below 2 there is no group to draw from, above it
+    the tables grow as the square of the order."""
+    if not 2 <= order_bound <= MAX_GROUP_ORDER:
+        raise ValueError(f"order bound {order_bound} is not from 2 to "
+                         f"{MAX_GROUP_ORDER}")
     groups = [FiniteGroup.cyclic(n) for n in range(2, order_bound + 1)]
     if order_bound >= 4:
         groups.append(FiniteGroup.product([FiniteGroup.cyclic(2),
@@ -183,10 +190,8 @@ def _run_indexed(task) -> dict:
 
 def run_corpus(seed: int, order_bound: int = 6, count: int = 220,
                max_len: int = 3, budget: int | None = None,
-               limit: int | None = None, workers: int = 1) -> dict:
+               workers: int = 1) -> dict:
     instances = generate_corpus(seed, order_bound, count)
-    if limit is not None:
-        instances = instances[:limit]
     if workers > 1:
         import multiprocessing
         tasks = [(seed, order_bound, count, i, max_len, budget)

@@ -312,30 +312,10 @@ class Subgroup:
         t = self.parent.table
         return min(t[h][x] for h in self.members)
 
-    def right_cosets(self, within: Subgroup | None = None) -> list[tuple[int, ...]]:
-        """Right cosets H*x inside `within` (default: the whole group).
-
-        The identity's coset comes first, the rest ascend by representative.
-        """
-        ambient = within.sorted_members if within is not None else \
-            range(self.parent.order)
-        if within is not None and not within.contains_subgroup(self):
-            raise NotSubgroup("cosets requested inside a non-superset")
-        t = self.parent.table
-        seen = set()
-        cosets = []
-        for x in ambient:
-            if x in seen:
-                continue
-            coset = tuple(sorted(t[h][x] for h in self.members))
-            seen.update(coset)
-            cosets.append(coset)
-        e = self.parent.identity
-        cosets.sort(key=lambda c: (e not in c, c[0]))
-        return cosets
-
     def transversal(self, within: Subgroup | None = None) -> GTuple:
-        """Canonical transversal: minimal representative of each right coset.
+        """Canonical transversal: minimal representative of each right coset
+        H*x for x in `within` (default: the whole group), the identity's
+        coset first and the rest ascending by representative.
 
         Remembered on the group: a GTuple is immutable, and subgroups
         compare by member set, so each decision over the same pair of
@@ -343,7 +323,14 @@ class Subgroup:
         cache = self.parent._transversals
         tr = cache.get((self, within))
         if tr is None:
-            tr = GTuple(self.parent, [c[0] for c in self.right_cosets(within)])
+            if within is not None and not within.contains_subgroup(self):
+                raise NotSubgroup("cosets requested inside a non-superset")
+            ambient = within.sorted_members if within is not None else \
+                range(self.parent.order)
+            first = self.coset_rep(self.parent.identity)
+            reps = {self.coset_rep(x) for x in ambient}
+            tr = GTuple(self.parent,
+                        sorted(reps, key=lambda r: (r != first, r)))
             cache[(self, within)] = tr
         return tr
 

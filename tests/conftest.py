@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from gradalg import galg
-from gradalg.cocycles import enumerate_cocycle_classes
+from gradalg.cocycles import Bicharacter, enumerate_cocycle_classes
 from gradalg.groups import FiniteGroup, build_group, dihedral_table
 from gradalg.scalars import CyclotomicScalar
 
@@ -18,6 +18,23 @@ def random_coboundary(sub, rng, max_order: int = 4) -> dict:
             m = rng.randrange(1, max_order + 1)
             mu[g] = CyclotomicScalar.zeta(m, rng.randrange(m))
     return mu
+
+
+def class_key(p) -> tuple:
+    """The graded-isomorphism class of a presentation (N, alpha, s) over an
+    abelian group G: N, the index in enumerate_cocycle_classes(N) of the
+    class of alpha (read off its alternating bicharacter, which fixes the
+    class over an abelian N), and the least over g in G of the sorted right
+    coset representatives of g*s.  Two such presentations are isomorphic iff
+    they share N, their cocycles are cohomologous and their tuples agree as
+    multisets of N-cosets up to one translation by G (Bahturin, Sehgal and
+    Zaicev, Sb. Math. 199, 2008)."""
+    form = Bicharacter.from_cocycle(p.alpha).values
+    index = next(i for i, c in enumerate(enumerate_cocycle_classes(p.H))
+                 if Bicharacter.from_cocycle(c).values == form)
+    cosets = min(tuple(sorted(p.H.coset_rep(x) for x in p.s.shift(g).entries))
+                 for g in p.group.elements())
+    return p.H.sorted_members, index, cosets
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gradalg import cli, scalars
 from gradalg.cli import main, parse_doc
-from gradalg.corpus import run_corpus
+from gradalg.corpus import ambient_groups, generate_corpus, run_corpus
 from gradalg.errors import ParseError, ValidationError
 from gradalg.groups import MAX_CONDUCTOR, MAX_GROUP_ORDER, FiniteGroup
 from gradalg.identities import MAX_MULTIDEGREE_LEN
@@ -162,6 +162,18 @@ _TOO_LARGE_IDS = ["large-cyclic", "large-product", "large-table"]
     (_klein_with_job({**_INCLUSION, "args": {
         "a": "A", "b": "B2", "max_len": MAX_MULTIDEGREE_LEN + 1}}),
      ["run"], "$.jobs[2].args.max_len"),
+    # a job takes exactly its command's options: decide reads no max_len,
+    # which was once range-checked and dropped, and an inclusion's budget,
+    # once dropped unchecked, is checked as `--budget` is
+    (_klein_with_job({"command": "decide", "args": {"a": "A", "b": "B2",
+                                                    "max_len": 3}}),
+     ["run"], "$.jobs[2].args.max_len"),
+    (_klein_with_job({**_INCLUSION, "args": {"a": "A", "b": "B2",
+                                             "budget": 0}}),
+     ["run"], "$.jobs[2].args.budget"),
+    (_klein_with_job({**_INCLUSION, "args": {"a": "A", "b": "B2",
+                                             "max_len": True}}),
+     ["run"], "$.jobs[2].args.max_len"),
 ])
 def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
                                                         argv, path):
@@ -184,16 +196,26 @@ def test_run_rejects_unknown_job_command(tmp_path, capsys, command):
     assert f"error: $.jobs[2].command: unknown: {command!r}" in err
 
 
-def test_run_reads_its_document_once(capsys, monkeypatch):
-    """A three-job `run` parses its document once (it once parsed it four
-    times, re-validating every cocycle each time), and writes the reports
-    each job writes as a command of its own."""
+def test_run_reads_its_document_once(tmp_path, capsys, monkeypatch):
+    """A `run` parses its document once (it once parsed it four times,
+    re-validating every cocycle each time), and writes the reports each job
+    writes as a command of its own, with the same options.  A job's budget
+    was once dropped, so the last job here, whose sweep exceeds it, ran."""
     monkeypatch.delenv("GRADALG_BUDGET", raising=False)
-    expected = ""
-    for job in json.loads(Path(_KLEIN).read_text())["jobs"]:
-        args = job["args"]
-        main([job["command"], _KLEIN, "--a", args["a"], "--b", args["b"]])
+    doc = json.loads(Path(_KLEIN).read_text())
+    doc["jobs"] += [{"command": "identity-inclusion", "args": {
+        "a": "B2", "b": "A", "max_len": 2, "budget": budget}}
+        for budget in (5000, 5)]
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    expected, codes = "", []
+    for job in doc["jobs"]:
+        argv = [job["command"], str(doc_path)]
+        for key, value in job["args"].items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        codes.append(main(argv))
         expected += capsys.readouterr().out
+    assert codes == [2, 0, 0, 2, 1]
     calls = []
     original = cli.parse_doc
 
@@ -202,9 +224,11 @@ def test_run_reads_its_document_once(capsys, monkeypatch):
         return original(text)
 
     monkeypatch.setattr(cli, "parse_doc", counted)
-    assert main(["run", _KLEIN]) == 2
+    assert main(["run", str(doc_path)]) == 1
     assert len(calls) == 1
-    assert capsys.readouterr().out == expected
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert "exceeds 5" in captured.err
 
 
 # paths into the klein_twisted fixture: "*" stands for any presentation
@@ -533,7 +557,7 @@ def test_verify_rejects_basis_keys_that_are_not_integers(tmp_path, capsys,
     (["corpus-run", "--order-bound", "0"], "--order-bound"),
     (["corpus-run", "--max-len", "0"], "--max-len"),
     (["corpus-run", "--max-len", "-1"], "--max-len"),
-    (["corpus-run", "--limit", "-1"], "--limit"),
+    (["corpus-run", "--workers", "2", "--order-bound", "1"], "--order-bound"),
     (["corpus-run", "--count", "-1"], "--count"),
     (["corpus-run", "--budget", "0"], "--budget"),
     (["corpus-run", "--workers", "0"], "--workers"),
@@ -554,6 +578,10 @@ def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
     assert f"error: {flag}: must be an integer >= " in captured.err
 
 
+def _refuse_cyclic(cls, n):
+    raise AssertionError(f"cyclic group of order {n} built")
+
+
 @pytest.mark.parametrize("argv, flag, bound", [
     (["identity-inclusion", _KLEIN, "--b", "B2", "--max-len", "7"],
      "--max-len", MAX_MULTIDEGREE_LEN),
@@ -568,15 +596,27 @@ def test_cli_rejects_numbers_above_their_bound(capsys, monkeypatch, argv,
     larger than MAX_GROUP_ORDER are refused before any group is built
     (FiniteGroup.cyclic is made to fail here).  `--order-bound 5000` once
     built every cyclic table up to 5000 and ended in a MemoryError."""
-    def refuse(cls, n):
-        raise AssertionError(f"cyclic group of order {n} built")
-
-    monkeypatch.setattr(FiniteGroup, "cyclic", classmethod(refuse))
+    monkeypatch.setattr(FiniteGroup, "cyclic", classmethod(_refuse_cyclic))
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert f"error: {flag}: must be an integer <= {bound}, " in captured.err
+
+
+@pytest.mark.parametrize("order_bound", [1, MAX_GROUP_ORDER + 1])
+def test_corpus_refuses_order_bounds_outside_its_groups(monkeypatch,
+                                                        order_bound):
+    """A library caller meets the corpus's order bound too, before any group
+    is built: ambient_groups(400) once built every cyclic table up to order
+    400 (3.9 s, 296 MB), and generate_corpus(0, 1, 3) drew from no group and
+    ended in a ZeroDivisionError."""
+    monkeypatch.setattr(FiniteGroup, "cyclic", classmethod(_refuse_cyclic))
+    for call in (lambda: ambient_groups(order_bound),
+                 lambda: generate_corpus(0, order_bound, 3),
+                 lambda: run_corpus(0, order_bound, 3)):
+        with pytest.raises(ValueError, match=f"order bound {order_bound} "):
+            call()
 
 
 def _refused_construct_doc():
@@ -705,14 +745,12 @@ def test_run_document_jobs():
 
 
 def test_corpus_run_limited():
-    out = run_cli(["corpus-run", "--seed", "7", "--count", "12",
-                   "--limit", "12"])
+    out = run_cli(["corpus-run", "--seed", "7", "--count", "12"])
     assert out.returncode == 0
     report = json.loads(out.stdout)
     assert report["count"] == 12
     assert report["true_decisions"] + report["false_decisions"] == 12
-    again = run_cli(["corpus-run", "--seed", "7", "--count", "12",
-                     "--limit", "12"])
+    again = run_cli(["corpus-run", "--seed", "7", "--count", "12"])
     assert again.stdout == out.stdout
 
 
@@ -799,7 +837,24 @@ def test_repeated_calls_share_no_parser_state(capsys, monkeypatch):
     assert main(["decide", fixture, "--a", "A", "--b", "B2"]) == 0
     assert json.loads(capsys.readouterr().out)["decision"]["verdict"] is True
     corpus = ["corpus-run", "--count", "4", "--max-len", "1"]
-    assert main([*corpus, "--limit", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["count"] == 3
+    assert main([*corpus, "--order-bound", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["order_bound"] == 3
     assert main(corpus) == 0
-    assert json.loads(capsys.readouterr().out)["count"] == 4
+    assert json.loads(capsys.readouterr().out)["order_bound"] == 6
+
+
+def test_readme_command_lines_parse():
+    """Each `gradalg` line of the README's "Command line" block, its `#`
+    comment and `>` redirection dropped, parses with the parser the command
+    table builds, so the documented commands stay in step with the table."""
+    readme = (FIXTURES.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0].split(">")[0].split()
+             for line in block.splitlines() if line.startswith("gradalg ")]
+    assert len(lines) == 8
+    for words in lines:
+        try:
+            cli._parser().parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(words)}")

@@ -21,7 +21,7 @@ from gradalg.identities import separate_elementary, separate_part1
 from gradalg.scalars import CyclotomicScalar as C
 from gradalg.tuples import exists_shift, exists_shift_bruteforce, subsume_mod
 
-from conftest import random_coboundary
+from conftest import class_key, random_coboundary
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -551,3 +551,29 @@ def test_theorem_oracle_on_small_groups(request, group, expected):
                 separate_elementary(a, b)
                 separated += 1
     assert (len(presentations), certified, separated) == expected
+
+
+@pytest.mark.parametrize("group, expected", [
+    ("z4", (42, 9, 1092)),
+    pytest.param("klein", (84, 18, 4284), marks=pytest.mark.slow),
+    pytest.param("z6", (108, 13, 4212), marks=pytest.mark.slow),
+], ids=["Z4", "Z2xZ2", "Z6"])
+def test_decide_is_invariant_on_isomorphism_classes(request, group, expected):
+    """decide gives every member of an isomorphism class (see class_key)
+    against each of up to three members of every class the verdict it gives
+    the two classes' first members.  Expected: (presentations, classes,
+    pairs decided)."""
+    group = request.getfixturevalue(group)
+    presentations = _small_presentations(group)
+    classes = {}
+    for p in presentations:
+        classes.setdefault(class_key(p), []).append(p)
+    pairs = 0
+    for members_a in classes.values():
+        for members_b in classes.values():
+            verdict = decide(members_a[0], members_b[0]).verdict
+            for a in members_a:
+                for b in members_b[:3]:
+                    assert decide(a, b).verdict is verdict
+                    pairs += 1
+    assert (len(presentations), len(classes), pairs) == expected
