@@ -327,15 +327,22 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_run(args, doc: InstanceDoc) -> int:
     """Run each job of the document as read and checked once, with the
-    options its args give and the defaults of _COMMANDS for the rest."""
+    options its args give and the defaults of _COMMANDS for the rest.  A
+    job that raises a GradAlgError is reported as `error: job k: ...` with
+    code 1, and the next job runs.  Returns 1 if any job erred, else the
+    largest code."""
     codes = []
-    for job in doc.jobs:
+    for k, job in enumerate(doc.jobs):
         handler, _, _, options = _COMMANDS[job["command"]]
         values = {key: default for key, (default, _) in options.items()}
         values.update(job.get("args", {}))
-        codes.append(handler(argparse.Namespace(**values), doc))
+        try:
+            codes.append(handler(argparse.Namespace(**values), doc))
+        except GradAlgError as exc:
+            print(f"error: job {k}: {exc}", file=sys.stderr)
+            codes.append(1)
     print(f"run: {len(codes)} jobs, exit codes {codes}", file=sys.stderr)
-    return max(codes, default=0)
+    return 1 if 1 in codes else max(codes, default=0)
 
 
 # The kind of an option's value: a name of a presentation (_NAME), a

@@ -17,6 +17,14 @@ witnesses and tests are checked with.
 `identity_space` stops its sweep once the evaluation rows reach full column
 rank, which is exact: more rows only enlarge the row space, so the kernel
 stays {0}.  Identity spaces are not memoised; no caller asks twice for one.
+What a sweep shares with other sweeps depends on its length n alone: the
+n! words and their trie are built once per n (n <= MAX_MULTIDEGREE_LEN, so
+at most six are kept; about 2,000 trie nodes at n = 6).  Many assignments
+give an evaluation row equal, entry for entry in value and conductor, to one
+already given to the same space's `linalg.Echelon`; such a row lies in the
+span, so `Echelon.add_row` returns False for it without reducing it, and
+the rank, the full-rank exit and every kernel entry, down to its printed
+conductor, are what reducing it would leave.
 
 Two shortcuts narrow the assignments visited for an antisymmetric
 polynomial u * (signed sum over all words); every assignment left out has
@@ -39,6 +47,7 @@ the value 0 or +-(the value of one that is visited):
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb, factorial, prod
@@ -357,6 +366,16 @@ class IdentitySpace:
         return out
 
 
+@lru_cache(maxsize=MAX_MULTIDEGREE_LEN)
+def _sweep_words(n: int) -> tuple:
+    """The words of an identity sweep of length n, every ordering of
+    range(n) in lexicographic order, and their trie.  They depend on n
+    alone, so each is built once per process; n is checked against
+    MAX_MULTIDEGREE_LEN first, so at most that many are kept."""
+    words = tuple(permutations(range(n)))
+    return words, _word_trie(words)
+
+
 def identity_space(algebra, degrees, budget: int | None = None) -> IdentitySpace:
     """Exact kernel of (coefficients -> evaluations over all basis tuples).
 
@@ -370,11 +389,10 @@ def identity_space(algebra, degrees, budget: int | None = None) -> IdentitySpace
     n = len(degrees)
     _check_length(n)
     budget = get_budget(budget)
-    words = list(permutations(range(n)))
+    words, trie = _sweep_words(n)
     pools = [algebra.component(g) for g in degrees]
-    trie = _word_trie(words)
     ech = linalg.Echelon(len(words))
-    zero = CyclotomicScalar.zero()
+    zero = linalg.ZERO
     for keys in _assignments(pools, budget):
         per_out: dict = {}
         for widx, terms in _word_values(algebra, keys, trie):

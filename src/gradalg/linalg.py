@@ -6,7 +6,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import NoSolution
-from .scalars import CyclotomicScalar
+from .scalars import CyclotomicScalar, mul_scaled, sub_mul
 
 ZERO = CyclotomicScalar.zero()
 ONE = CyclotomicScalar.one()
@@ -17,13 +17,19 @@ class Echelon:
 
     Rows are dense lists of CyclotomicScalar.  Kept rows are normalized to
     pivot 1 and fully reduced against each other, so the accumulated rows are
-    a reduced row echelon basis of the row space.
+    a reduced row echelon basis of the row space.  Each update x - c * y of
+    an entry is the fused step `scalars.sub_mul`, and scaling by the
+    pivot's inverse is `scalars.mul_scaled`, which skips the product for a
+    zero entry; both give the scalar the operators give, value and
+    conductor alike.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[list[CyclotomicScalar]] = []
         self.pivots: list[int] = []
+        # one key per distinct row given to add_row; see there
+        self._given: set = set()
 
     @property
     def rank(self) -> int:
@@ -36,23 +42,40 @@ class Echelon:
             if not c.is_zero():
                 for j in range(p, self.ncols):
                     if not prow[j].is_zero():
-                        row[j] = row[j] - c * prow[j]
+                        row[j] = sub_mul(row[j], c, prow[j])
         return row
 
     def add_row(self, row) -> bool:
-        """Reduce and insert; True if the row enlarged the span."""
+        """Reduce and insert; True if the row enlarged the span.
+
+        A row equal, entry for entry in value and conductor, to a row given
+        before is not reduced again.  That row is in the span now, so the
+        reduction would take the copy to zero, and add_row would return
+        False without touching rows or pivots: returning False at once
+        leaves the rank, and every later reduction and kernel entry, as
+        they would be.  The key of a row lists its entries other than the
+        module's ZERO, each with its column, conductor, numerators and
+        denominator, so it is exact and its size follows the nonzero
+        entries of rows given as ZERO-filled lists.
+        """
+        row = list(row)
+        key = tuple([(j, c.conductor, c.num, c.den)
+                     for j, c in enumerate(row) if c is not ZERO])
+        if key in self._given:
+            return False
+        self._given.add(key)
         row = self.reduce_row(row)
         pivot = next((j for j in range(self.ncols) if not row[j].is_zero()), None)
         if pivot is None:
             return False
         inv = row[pivot].inverse()
-        row = [c * inv for c in row]
+        row = [mul_scaled(c, inv) for c in row]
         for prow in self.rows:
             c = prow[pivot]
             if not c.is_zero():
                 for j in range(pivot, self.ncols):
                     if not row[j].is_zero():
-                        prow[j] = prow[j] - c * row[j]
+                        prow[j] = sub_mul(prow[j], c, row[j])
         at = next((i for i, p in enumerate(self.pivots) if p > pivot),
                   len(self.pivots))
         self.rows.insert(at, row)

@@ -405,6 +405,44 @@ def _exact(conductor: int, num: tuple, den: int) -> CyclotomicScalar:
     return x
 
 
+def sub_mul(x: CyclotomicScalar, c: CyclotomicScalar,
+            y: CyclotomicScalar) -> CyclotomicScalar:
+    """x - c * y, the step of exact elimination, as one operation.
+
+    When x, c and y share one conductor m and all have denominator 1 (the
+    usual case: roots of unity and their integer combinations), the
+    numerators x.num - fold(conv(c.num, y.num)) over 1 are canonical as
+    they stand, and they are what `x - c * y` builds through the
+    intermediate scalars c * y and -(c * y): the same value at the same
+    conductor m.  Otherwise the operators do it."""
+    m = x.conductor
+    if x.den == 1 and c.den == 1 and y.den == 1 \
+            and c.conductor == m and y.conductor == m:
+        xn = x.num
+        if len(xn) == 1:
+            return _exact(m, (xn[0] - c.num[0] * y.num[0],), 1)
+        return _exact(m, tuple([p - q for p, q in
+                                zip(xn, _mul_reduced(m, c.num, y.num))]), 1)
+    return x - c * y
+
+
+def mul_scaled(x: CyclotomicScalar, s: CyclotomicScalar) -> CyclotomicScalar:
+    """x * s, where a zero x costs no convolution: the product is zero at
+    common_conductor(x.conductor, s.conductor), which raises
+    ConductorTooLarge exactly when `x * s` does (an equal conductor never
+    raises), and it is x itself when that is its conductor already."""
+    if any(x.num):
+        return x * s
+    m = common_conductor(x.conductor, s.conductor)
+    return x if m == x.conductor else _zero_at(m)
+
+
+@lru_cache(maxsize=32)
+def _zero_at(m: int) -> CyclotomicScalar:
+    """Zero at conductor m, shared: scalars are immutable."""
+    return _exact(m, (0,) * euler_phi(m), 1)
+
+
 def _canon(conductor: int, num, den: int) -> CyclotomicScalar:
     """A scalar from reduced int numerators over a positive denominator,
     divided through by their common gcd (none is needed over 1)."""

@@ -200,12 +200,14 @@ def test_run_reads_its_document_once(tmp_path, capsys, monkeypatch):
     """A `run` parses its document once (it once parsed it four times,
     re-validating every cocycle each time), and writes the reports each job
     writes as a command of its own, with the same options.  A job's budget
-    was once dropped, so the last job here, whose sweep exceeds it, ran."""
+    was once dropped, so the fourth job here, whose sweep exceeds it, ran.
+    A job that errs once ended the run: the job after it never ran and no
+    summary was printed."""
     monkeypatch.delenv("GRADALG_BUDGET", raising=False)
     doc = json.loads(Path(_KLEIN).read_text())
     doc["jobs"] += [{"command": "identity-inclusion", "args": {
         "a": "B2", "b": "A", "max_len": 2, "budget": budget}}
-        for budget in (5000, 5)]
+        for budget in (5, 5000)]
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(doc))
     expected, codes = "", []
@@ -215,7 +217,7 @@ def test_run_reads_its_document_once(tmp_path, capsys, monkeypatch):
             argv += ["--" + key.replace("_", "-"), str(value)]
         codes.append(main(argv))
         expected += capsys.readouterr().out
-    assert codes == [2, 0, 0, 2, 1]
+    assert codes == [2, 0, 0, 1, 2]
     calls = []
     original = cli.parse_doc
 
@@ -228,7 +230,9 @@ def test_run_reads_its_document_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     captured = capsys.readouterr()
     assert captured.out == expected
-    assert "exceeds 5" in captured.err
+    assert json.loads(captured.out.splitlines()[-1])["holds"] is False
+    assert "error: job 3: assignment enumeration exceeds 5\n" in captured.err
+    assert "run: 5 jobs, exit codes [2, 0, 0, 1, 2]" in captured.err
 
 
 # paths into the klein_twisted fixture: "*" stands for any presentation

@@ -546,3 +546,23 @@ def test_identity_space_kernels_are_byte_identical():
     text = json.dumps(spaces, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "6a6e8a7764bb32f1a75283efae8fac09f56345b70315e90eb2ed46cc99e9887c"
+
+
+@pytest.mark.slow
+def test_identity_space_kernels_at_length_4_are_byte_identical():
+    """As above, at every sorted multidegree of length <= 4, over the first
+    30 instances of the corpus.  Length 4 holds most of the repeated rows
+    that `Echelon.add_row` skips and most of the fused elimination steps."""
+    spaces = []
+    for inst in corpus.generate_corpus(20250809, 6, 220)[:30]:
+        supp = sorted(inst.a.support() | inst.b.support())
+        for length in range(1, 5):
+            for degrees in combinations_with_replacement(supp, length):
+                for algebra in (inst.a, inst.b):
+                    space = identity_space(algebra, degrees)
+                    spaces.append([[c.to_json() for c in vec]
+                                   for vec in space.vectors])
+    assert len(spaces) == 4018
+    text = json.dumps(spaces, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "af33aefdb1905a4ecf4b3bbf19b4c468a856d77b1b032195798e12d0418fcfa0"

@@ -1,4 +1,5 @@
-"""Modular solving: solve_mod against the Smith form that keeps its U."""
+"""Modular solving: solve_mod against the Smith form that keeps its U; the
+rows Echelon.add_row skips."""
 
 import random
 from math import gcd
@@ -6,8 +7,31 @@ from math import gcd
 from gradalg import linalg
 from gradalg.cocycles import coboundary_solve, enumerate_cocycle_classes
 from gradalg.groups import FiniteGroup
+from gradalg.scalars import CyclotomicScalar as C
 
 from conftest import random_coboundary
+
+
+def _state(ech):
+    rows = [[(c, c.conductor) for c in row] for row in ech.rows]
+    return rows, list(ech.pivots)
+
+
+def test_add_row_skips_exact_copies_only():
+    """A row equal, value and conductor, to one given before returns False
+    at once and leaves the echelon as reducing it would; the same value at
+    another conductor is reduced and returns False too.  zeta_6 has the
+    numerators of zeta_3, so a key without conductors would skip it."""
+    z3, z6, one, zero = C.zeta(3), C.zeta(6), linalg.ONE, linalg.ZERO
+    assert z3.num == z6.num and z3 != z6
+    ech = linalg.Echelon(3)
+    assert ech.add_row([z3, one, zero])
+    state = _state(ech)
+    assert not ech.add_row([z3, one, zero])
+    assert not ech.add_row([z3.rebase(6), one, C.zero(3)])
+    assert _state(ech) == state
+    assert ech.add_row([z6, one, zero])
+    assert ech.rank == 2
 
 
 def _smith_with_u(mat):

@@ -6,9 +6,11 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradalg.errors import ConductorNotMultiple, DivisionByZero, NotRootOfUnity
+from gradalg.errors import (ConductorNotMultiple, ConductorTooLarge,
+                            DivisionByZero, NotRootOfUnity)
 from gradalg.scalars import CyclotomicScalar as C
-from gradalg.scalars import _power_table, cyclotomic_polynomial, euler_phi
+from gradalg.scalars import (_power_table, cyclotomic_polynomial, euler_phi,
+                             mul_scaled, sub_mul)
 
 
 def test_euler_phi():
@@ -444,3 +446,64 @@ def test_power_tables_are_bounded_and_rebuilt_equal():
         assert (a * b, a / b, a.inverse()) == (prod, quot, inv)
     # each of 3, 5 and 7 had its table evicted and built once more
     assert _power_table.cache_info().misses == misses + 3
+
+
+# -- the fused elimination step ---------------------------------------------------
+
+_step_conductors = st.sampled_from([1, 2, 3, 4, 5, 8, 12])
+
+
+@st.composite
+def _step_entry(draw, m):
+    """A scalar at conductor m: a zero, a root of unity, an integral
+    element (denominator 1) or one with rational coordinates."""
+    kind = draw(st.sampled_from(["zero", "root", "integral", "rational"]))
+    if kind == "zero":
+        return C.zero(m)
+    if kind == "root":
+        return C.zeta(m, draw(st.integers(0, m - 1)))
+    if kind == "integral":
+        return C(m, [draw(st.integers(-5, 5)) for _ in range(euler_phi(m))])
+    return draw(_scalar_at(m))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fused_step_matches_operators(data):
+    """sub_mul(x, c, y) is the scalar `x - c * y` builds, value and
+    conductor, whether x, c and y share a conductor or not; mul_scaled(x, s)
+    is `x * s`."""
+    if data.draw(st.booleans()):
+        conductors = [data.draw(_step_conductors)] * 3
+    else:
+        conductors = [data.draw(_step_conductors) for _ in range(3)]
+    x, c, y = (data.draw(_step_entry(m)) for m in conductors)
+    fused, expected = sub_mul(x, c, y), x - c * y
+    assert fused == expected
+    assert fused.conductor == expected.conductor
+    assert (_canonical(fused).num, fused.den) == (expected.num, expected.den)
+    scaled, expected = mul_scaled(x, c), x * c
+    assert scaled == expected
+    assert scaled.conductor == expected.conductor
+    assert (_canonical(scaled).num, scaled.den) == \
+        (expected.num, expected.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 8, 12, 256, 500, 509, 512]),
+       st.sampled_from([1, 3, 4, 5, 8, 12, 256, 500, 509, 512]),
+       _rationals.filter(bool))
+def test_zero_scaling_matches_operator(mz, ms, r):
+    """A zero scaled by the pivot's inverse is zero at the lcm conductor,
+    and it raises ConductorTooLarge exactly when `zero * inv` does."""
+    zero, inv = C.zero(mz), C.from_rational(r, ms).inverse()
+    try:
+        expected = zero * inv
+    except ConductorTooLarge:
+        with pytest.raises(ConductorTooLarge):
+            mul_scaled(zero, inv)
+        return
+    got = mul_scaled(zero, inv)
+    assert got == expected
+    assert got.conductor == expected.conductor
+    assert (_canonical(got).num, got.den) == (expected.num, expected.den)
