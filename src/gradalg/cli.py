@@ -23,7 +23,7 @@ from .cocycles import Cocycle
 from .corpus import run_corpus
 from .embed import construct, decide
 from .envelope import alpha_envelope
-from .errors import GradAlgError, ParseError, ValidationError
+from .errors import GradAlgError, ValidationError
 from .galg import GradedHom, GradedPresentation, verify_hom
 from .groups import MAX_GROUP_ORDER, build_group, group_to_json, json_ints
 from .identities import MAX_MULTIDEGREE_LEN, get_budget, inclusion_bounded
@@ -53,12 +53,17 @@ def _section(raw: dict, key: str, kind: type, root: str = "$"):
     return value
 
 
-def parse_doc(text: str) -> InstanceDoc:
+def _json(text: str):
+    """The JSON value of a document or report; invalid JSON is a
+    ValidationError at `$`."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    return _doc_from_json(raw, "$")
+        raise ValidationError("$", f"invalid JSON: {exc}") from None
+
+
+def parse_doc(text: str) -> InstanceDoc:
+    return _doc_from_json(_json(text), "$")
 
 
 def _doc_from_json(raw, root: str) -> InstanceDoc:
@@ -251,15 +256,12 @@ def _hom_from_report(report: dict):
 
 def _cmd_verify(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        report = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError("$", f"invalid JSON: {exc}") from None
+        report = _json(fh.read())
     if not isinstance(report, dict):
         raise ValidationError("$", "report must be an object")
     if report.get("hom") is None:
-        raise ParseError("report carries no homomorphism to verify")
+        raise ValidationError("$.hom",
+                              "report carries no homomorphism to verify")
     hom = _hom_from_report(report)
     cert = verify_hom(hom)
     out = {"command": "verify", "a": report["a"], "b": report["b"],

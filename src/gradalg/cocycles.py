@@ -16,8 +16,8 @@ from math import gcd
 
 from . import linalg
 from .errors import (CocycleIdentityViolated, ElementOutsideGroup,
-                     MismatchedGroup, NonAbelianGroup, NoSolution,
-                     NotRootOfUnity, NotSubgroup, NotSymmetric)
+                     MismatchedParent, NotRootOfUnity, NotSubgroup,
+                     Unsupported, VerificationFailed)
 from .groups import FiniteGroup, GTuple, Subgroup, json_ints
 from .scalars import CyclotomicScalar, common_conductor
 
@@ -88,7 +88,7 @@ class Cocycle:
 
     def _check_same_group(self, other: Cocycle):
         if self.subgroup != other.subgroup:
-            raise MismatchedGroup("cocycles live on different subgroups")
+            raise MismatchedParent("cocycles live on different subgroups")
 
     def ratio(self, other: Cocycle) -> Cocycle:
         self._check_same_group(other)
@@ -189,7 +189,7 @@ class Bicharacter:
         """
         sub = alpha.subgroup
         if not sub.is_abelian():
-            raise NonAbelianGroup("bicharacter requires an abelian subgroup")
+            raise Unsupported("bicharacter requires an abelian subgroup")
         vals = {(a, b): alpha.values[(a, b)] / alpha.values[(b, a)]
                 for a in sub for b in sub}
         rad = [g for g in sub if all(vals[(g, h)].is_one() for h in sub)]
@@ -218,11 +218,11 @@ def coboundary_solve(alpha: Cocycle) -> dict:
     """
     sub = alpha.subgroup
     if not sub.is_abelian():
-        raise NonAbelianGroup("coboundary solving requires an abelian subgroup")
+        raise Unsupported("coboundary solving requires an abelian subgroup")
     for a in sub:
         for b in sub:
             if alpha.values[(a, b)] != alpha.values[(b, a)]:
-                raise NotSymmetric(f"alpha({a},{b}) != alpha({b},{a})")
+                raise Unsupported(f"alpha({a},{b}) != alpha({b},{a})")
     members = sub.sorted_members
     index = {g: i for i, g in enumerate(members)}
     logs = {}
@@ -256,12 +256,12 @@ def coboundary_solve(alpha: Cocycle) -> dict:
     rhs.append(0)
     sol = linalg.solve_mod(rows, rhs, Mp)
     if sol is None:
-        raise NoSolution("exponent system inconsistent")
+        raise VerificationFailed("exponent system inconsistent")
     mu = {g: CyclotomicScalar.zeta(Mp, sol[index[g]]) for g in members}
     for a in members:
         for b in members:
             if alpha.values[(a, b)] * mu[t[a][b]] != mu[a] * mu[b]:
-                raise NoSolution("splitting failed substitution check")
+                raise VerificationFailed("splitting failed substitution check")
     return mu
 
 
@@ -292,7 +292,7 @@ class IrrepData:
         group = sub.parent
         d = self.dim
         if self.rho[group.identity] != (tuple(range(d)), (ONE,) * d):
-            raise ArithmeticError("rho(U_e) is not the identity matrix")
+            raise VerificationFailed("rho(U_e) is not the identity matrix")
         for g in sub:
             p1, c1 = self.rho[g]
             for h in sub:
@@ -301,15 +301,16 @@ class IrrepData:
                 scale = self.cocycle.values[(g, h)]
                 if any(p1[p2[j]] != p3[j] or c1[p2[j]] * c2[j] != scale * c3[j]
                        for j in range(d)):
-                    raise ArithmeticError(
+                    raise VerificationFailed(
                         f"rho is not alpha-multiplicative at ({g},{h})")
         vectors = [[coeffs[j] if rows[j] == i else ZERO
                     for i in range(d) for j in range(d)]
                    for rows, coeffs in self.rho.values()]
         if linalg.rank(vectors, d * d) != d * d:
-            raise ArithmeticError("matrix images do not span a full matrix algebra")
+            raise VerificationFailed(
+                "matrix images do not span a full matrix algebra")
         if d * d * self.radical.order != sub.order:
-            raise ArithmeticError("dimension does not match the radical index")
+            raise VerificationFailed("dimension does not match the radical index")
 
 
 def smallest_irrep(gamma: Cocycle) -> IrrepData:
@@ -358,7 +359,7 @@ def abelian_basis(sub: Subgroup) -> list[int]:
     collisions.
     """
     if not sub.is_abelian():
-        raise NonAbelianGroup("basis decomposition requires abelian subgroup")
+        raise Unsupported("basis decomposition requires abelian subgroup")
     group = sub.parent
     basis: list[int] = []
     span = {group.identity}
@@ -375,12 +376,12 @@ def abelian_basis(sub: Subgroup) -> list[int]:
                 span = set(candidate)
                 break
         if chosen is None:
-            raise ArithmeticError("no independent generator found")
+            raise VerificationFailed("no independent generator found")
         basis.append(chosen)
     # verify coordinates cover the subgroup bijectively
     coords = element_coordinates(sub, basis)
     if len(coords) != sub.order:
-        raise ArithmeticError("basis coordinates do not cover the subgroup")
+        raise VerificationFailed("basis coordinates do not cover the subgroup")
     return basis
 
 

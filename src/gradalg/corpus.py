@@ -15,11 +15,12 @@ import random
 
 from .cocycles import enumerate_cocycle_classes
 from .embed import construct, decide, decide_part1, decide_part2
-from .errors import (BudgetExceeded, NotFoundWithinBudget, VerificationFailed)
+from .errors import (BudgetExceeded, NotFoundWithinBudget, Unsupported,
+                     VerificationFailed)
 from .galg import GradedPresentation
 from .groups import MAX_GROUP_ORDER, FiniteGroup, GTuple
-from .identities import (inclusion_bounded, separate_elementary,
-                         separate_part1, separate_bounded)
+from .identities import (SeparatorResult, inclusion_bounded,
+                         separate_bounded, separate_elementary, separate_part1)
 
 MAX_TUPLE_LEN = 3
 
@@ -111,36 +112,26 @@ def generate_corpus(seed: int, order_bound: int = 6,
     return instances
 
 
-def _part2_shape(inst: Instance) -> bool:
-    return (all(x in inst.b.H.members for x in inst.a.s)
-            and all(x in inst.a.H.members for x in inst.b.s))
-
-
-def _part1_shape(inst: Instance) -> bool:
-    return inst.b.H.order == inst.a.group.order
-
-
 def run_instance(inst: Instance, max_len: int = 3,
                  budget: int | None = None) -> dict:
     """Full check of one instance; raises on any soundness violation."""
     a, b = inst.a, inst.b
-    group = a.group
-    rec = {"name": inst.name, "tag": inst.tag, "group": group.name,
+    rec = {"name": inst.name, "tag": inst.tag, "group": a.group.name,
            "dims": [a.dim, b.dim]}
     decision = decide(a, b)
     rec["verdict"] = decision.verdict
     rec["case"] = decision.case
     rec["trace"] = decision.to_json()
 
+    # each fast path refuses a pair of another shape with Unsupported
     cross = {}
-    if group.abelian and _part1_shape(inst):
-        cross["part1"] = decide_part1(a, b).verdict
-        if cross["part1"] != decision.verdict:
-            raise VerificationFailed(f"{inst.name}: part1 fast path disagrees")
-    if group.abelian and _part2_shape(inst):
-        cross["part2"] = decide_part2(a, b).verdict
-        if cross["part2"] != decision.verdict:
-            raise VerificationFailed(f"{inst.name}: part2 fast path disagrees")
+    for name, route in (("part1", decide_part1), ("part2", decide_part2)):
+        try:
+            cross[name] = route(a, b).verdict
+        except Unsupported:
+            continue
+        if cross[name] != decision.verdict:
+            raise VerificationFailed(f"{inst.name}: {name} fast path disagrees")
     rec["cross_checks"] = cross
 
     if decision.verdict:
@@ -152,24 +143,29 @@ def run_instance(inst: Instance, max_len: int = 3,
         rec["inclusion_holds"] = True
         rec["inclusion_multidegrees"] = len(report.checked)
     else:
-        rec["separator"] = _attempt_separator(inst, max_len, budget)
+        try:
+            sep = separate(a, b, max_len, budget)
+        except (NotFoundWithinBudget, BudgetExceeded) as exc:
+            rec["separator"] = {"status": "inconclusive-witness",
+                                "reason": str(exc)}
+        else:
+            rec["separator"] = {"status": "verified", "kind": sep.kind,
+                                "multidegree": [int(g) for g in sep.degrees]}
     return rec
 
 
-def _attempt_separator(inst: Instance, max_len: int, budget) -> dict:
-    a, b = inst.a, inst.b
-    group = a.group
-    try:
-        if (group.abelian and _part1_shape(inst) and b.alpha.is_trivial()):
-            sep = separate_part1(a, b, budget)
-        elif b.H.is_trivial() and b.alpha.is_trivial():
-            sep = separate_elementary(a, b, budget)
-        else:
-            sep = separate_bounded(a, b, max_len, budget)
-    except (NotFoundWithinBudget, BudgetExceeded) as exc:
-        return {"status": "inconclusive-witness", "reason": str(exc)}
-    return {"status": "verified", "kind": sep.kind,
-            "multidegree": [int(g) for g in sep.degrees]}
+def separate(a: GradedPresentation, b: GradedPresentation, max_len: int = 3,
+             budget: int | None = None) -> SeparatorResult:
+    """A verified separator for a false decision: that of the first
+    structured route, `separate_part1` then `separate_elementary`, that
+    does not refuse the pair's shape with Unsupported, else the bounded scan
+    up to `max_len`."""
+    for route in (separate_part1, separate_elementary):
+        try:
+            return route(a, b, budget)
+        except Unsupported:
+            pass
+    return separate_bounded(a, b, max_len, budget)
 
 
 _WORKER_CACHE: dict = {}

@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import lcm
 
 from .cocycles import Cocycle, smallest_irrep
-from .errors import (DecisionFalse, MismatchedParent, NonAbelianUnsupported,
+from .errors import (DecisionFalse, MismatchedParent, Unsupported,
                      VerificationFailed)
 from .galg import GradedHom, GradedPresentation, verify_hom
 from .groups import GTuple, Subgroup
@@ -105,7 +105,7 @@ def decide(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
         return _decide_abelian(a, b)
     if b.H.is_trivial() and b.alpha.is_trivial():
         return decide_elementary(a, b)
-    raise NonAbelianUnsupported(
+    raise Unsupported(
         "non-abelian ambient groups are supported only for elementary targets")
 
 
@@ -140,14 +140,15 @@ def decide_elementary(a: GradedPresentation, b: GradedPresentation) -> EmbedDeci
 
 
 def decide_part1(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
-    """Fast path for a full-subgroup target: r2 >= d * r1, with d the
-    minimal representation dimension."""
+    """Fast path for a full-subgroup target over an abelian group (any
+    other pair is Unsupported): r2 >= d * r1, with d the minimal
+    representation dimension."""
     _check_same_ambient(a, b)
     group = a.group
     if not group.abelian:
-        raise NonAbelianUnsupported("fast path requires an abelian group")
+        raise Unsupported("fast path requires an abelian group")
     if b.H.order != group.order:
-        raise VerificationFailed("fast path requires the full subgroup target")
+        raise Unsupported("fast path requires the full subgroup target")
     gamma = a.alpha.ratio(b.alpha.restrict(a.H))
     d = smallest_irrep(gamma).dim
     verdict = b.r >= d * a.r
@@ -158,16 +159,17 @@ def decide_part1(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
 
 
 def decide_part2(a: GradedPresentation, b: GradedPresentation) -> EmbedDecision:
-    """Fast path for crossed tuples: target tuple must dominate the pattern
-    without any shift."""
+    """Fast path for crossed tuples over an abelian group, the source tuple
+    in N2 and the target tuple in N1 (any other pair is Unsupported): the
+    target tuple must dominate the pattern without any shift."""
     _check_same_ambient(a, b)
     group = a.group
     if not group.abelian:
-        raise NonAbelianUnsupported("fast path requires an abelian group")
+        raise Unsupported("fast path requires an abelian group")
     if not all(x in b.H.members for x in a.s):
-        raise VerificationFailed("fast path requires the source tuple in N2")
+        raise Unsupported("fast path requires the source tuple in N2")
     if not all(x in a.H.members for x in b.s):
-        raise VerificationFailed("fast path requires the target tuple in N1")
+        raise Unsupported("fast path requires the target tuple in N1")
     h_sub, d, g_prime, transversal = _criterion(a, b)
     verdict = subsume_mod(b.s, _pattern("part2", d, transversal, a.s), b.H)
     return EmbedDecision(verdict, "part2", h_sub, d, g_prime, transversal,

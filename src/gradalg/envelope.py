@@ -11,7 +11,7 @@ it.
 from __future__ import annotations
 
 from .cocycles import Cocycle
-from .errors import DegreeOutsideGroup, MismatchedGroup
+from .errors import ElementOutsideGroup, MismatchedParent
 from .galg import GradedHom, GradedPresentation, _AlgebraBase
 from .groups import GTuple
 from .identities import MultilinearPoly
@@ -22,7 +22,7 @@ class EnvelopeCarrier(_AlgebraBase):
 
     def __init__(self, left, right):
         if left.group is not right.group:
-            raise MismatchedGroup("envelope operands graded by different groups")
+            raise MismatchedParent("envelope operands graded by different groups")
         self.group = left.group
         self.left = left
         self.right = right
@@ -92,10 +92,10 @@ def alpha_envelope(b: GradedPresentation, alpha: Cocycle) -> AlphaEnvelope:
     group = b.group
     domain = alpha.subgroup
     if not domain.contains_subgroup(b.H):
-        raise MismatchedGroup("cocycle domain must contain the subgroup")
+        raise MismatchedParent("cocycle domain must contain the subgroup")
     for x in b.s:
         if x not in domain.members:
-            raise MismatchedGroup("cocycle domain must contain the tuple entries")
+            raise MismatchedParent("cocycle domain must contain the tuple entries")
 
     twist = GradedPresentation.twisted_group_algebra(alpha)
     carrier = EnvelopeCarrier(twist, b)
@@ -135,7 +135,7 @@ def falpha(poly, alpha: Cocycle):
     group = poly.group
     for g in poly.degrees:
         if g not in alpha.subgroup.members:
-            raise DegreeOutsideGroup("multidegree leaves the cocycle domain")
+            raise ElementOutsideGroup("multidegree leaves the cocycle domain")
     coeffs = {}
     for word, c in poly.coeffs.items():
         permuted = GTuple(group, [poly.degrees[v] for v in word])

@@ -8,8 +8,8 @@ Subgroup object per member set and hands that object out every time.
 
 from __future__ import annotations
 
-from .errors import (ElementOutsideGroup, MismatchedParent, NoIdentity,
-                     NotAssociative, NotLatinSquare, NotSubgroup)
+from .errors import (ElementOutsideGroup, MismatchedParent, NotAGroup,
+                     NotSubgroup)
 
 
 class FiniteGroup:
@@ -85,10 +85,10 @@ class FiniteGroup:
         idx = set(range(n))
         for i, row in enumerate(self.table):
             if len(row) != n or set(row) != idx:
-                raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
+                raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
         for j in range(n):
             if {row[j] for row in self.table} != idx:
-                raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
+                raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
         t = self.table
         for a in self._generators():
             at = t[a]
@@ -96,7 +96,7 @@ class FiniteGroup:
                 xa, tx = t[t[x][a]], t[x]
                 for y in range(n):
                     if xa[y] != tx[at[y]]:
-                        raise NotAssociative(
+                        raise NotAGroup(
                             f"({x}*{a})*{y} != {x}*({a}*{y})")
 
     def _generators(self) -> list[int]:
@@ -135,7 +135,7 @@ class FiniteGroup:
             if all(self.table[e][x] == x and self.table[x][e] == x
                    for x in range(self.order)):
                 return e
-        raise NoIdentity("no two-sided identity element")
+        raise NotAGroup("no two-sided identity element")
 
     def _find_inverses(self):
         inv = [None] * self.order
@@ -146,7 +146,7 @@ class FiniteGroup:
                     inv[a] = b
                     break
             if inv[a] is None:
-                raise NoIdentity(f"element {a} has no inverse")
+                raise NotAGroup(f"element {a} has no inverse")
         return tuple(inv)
 
     # -- queries --------------------------------------------------------

@@ -54,8 +54,8 @@ from math import comb, factorial, prod
 
 from . import linalg
 from .embed import decide_elementary, decide_part1
-from .errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
-                     LengthMismatch, NotFoundWithinBudget, ValidationError,
+from .errors import (BudgetExceeded, DecisionWasTrue, LengthMismatch,
+                     NotFoundWithinBudget, Unsupported, ValidationError,
                      VerificationFailed)
 from .galg import AlgebraElement, GradedPresentation
 from .groups import FiniteGroup
@@ -166,7 +166,7 @@ def evaluate(poly: MultilinearPoly, assignment) -> AlgebraElement:
     for el, g in zip(assignment, poly.degrees):
         deg = el.degree()
         if deg is not None and deg != g:
-            raise DegreeMismatch(f"element degree {deg} != variable degree {g}")
+            raise LengthMismatch(f"element degree {deg} != variable degree {g}")
     out = algebra.zero()
     for word, c in poly.coeffs.items():
         acc = assignment[word[0]]
@@ -558,10 +558,11 @@ def separate_part1(a: GradedPresentation, b: GradedPresentation,
                    budget: int | None = None) -> SeparatorResult:
     """Separator for a trivially twisted full-subgroup target via the
     standard polynomial of degree twice the target's matrix size.  d and
-    the verdict come from `embed.decide_part1` (true: DecisionWasTrue)."""
+    the verdict come from `embed.decide_part1` (true: DecisionWasTrue); a
+    target of another shape is Unsupported."""
     budget = get_budget(budget)
     if not b.alpha.is_trivial():
-        raise VerificationFailed(
+        raise Unsupported(
             "separator shape requires a trivially twisted full-subgroup target")
     decision = decide_part1(a, b)
     if decision.verdict:
@@ -605,10 +606,11 @@ def separate_part1(a: GradedPresentation, b: GradedPresentation,
 def separate_elementary(a: GradedPresentation, b: GradedPresentation,
                         budget: int | None = None) -> SeparatorResult:
     """Block-product separator against an elementary matrix target; the
-    verdict comes from `embed.decide_elementary` (true: DecisionWasTrue)."""
+    verdict comes from `embed.decide_elementary` (true: DecisionWasTrue); a
+    target that is not elementary is Unsupported."""
     budget = get_budget(budget)
     if not b.H.is_trivial() or not b.alpha.is_trivial():
-        raise VerificationFailed("target must carry an elementary grading")
+        raise Unsupported("target must carry an elementary grading")
     if decide_elementary(a, b).verdict:
         raise DecisionWasTrue("embedding criterion holds; nothing separates")
     group = a.group

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NoSolution
+from .errors import DivisionByZero
 from .scalars import CyclotomicScalar, mul_scaled, sub_mul
 
 ZERO = CyclotomicScalar.zero()
@@ -118,7 +118,7 @@ def invert_matrix(mat: list[list[CyclotomicScalar]]) -> list[list[CyclotomicScal
     for col in range(n):
         pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
         if pivot is None:
-            raise NoSolution("matrix is singular")
+            raise DivisionByZero("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = aug[col][col].inverse()
         aug[col] = [c * inv for c in aug[col]]

@@ -54,8 +54,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import (ConductorNotMultiple, ConductorTooLarge, DivisionByZero,
-                     NotRootOfUnity)
+from .errors import (ConductorTooLarge, DivisionByZero, NotRootOfUnity,
+                     Unsupported, VerificationFailed)
 from .groups import MAX_CONDUCTOR
 
 
@@ -87,7 +87,7 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
             for i, d in enumerate(den):
                 num[k - dd + i] -= c * d
     if any(num[:dd]):
-        raise ArithmeticError("non-exact polynomial division")
+        raise VerificationFailed("non-exact polynomial division")
     return out
 
 
@@ -220,7 +220,7 @@ class CyclotomicScalar:
         if conductor == self.conductor:
             return self
         if conductor % self.conductor != 0:
-            raise ConductorNotMultiple(
+            raise Unsupported(
                 f"{self.conductor} does not divide {conductor}")
         # z_m^k = z_M^(k*step), and k*step <= (phi(m)-1)*step < M has a row
         step = conductor // self.conductor

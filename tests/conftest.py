@@ -1,10 +1,12 @@
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 
 from gradalg import galg
 from gradalg.cocycles import Bicharacter, enumerate_cocycle_classes
-from gradalg.groups import FiniteGroup, build_group, dihedral_table
+from gradalg.galg import GradedPresentation
+from gradalg.groups import FiniteGroup, GTuple, build_group, dihedral_table
 from gradalg.scalars import CyclotomicScalar
 
 
@@ -35,6 +37,25 @@ def class_key(p) -> tuple:
     cosets = min(tuple(sorted(p.H.coset_rep(x) for x in p.s.shift(g).entries))
                  for g in p.group.elements())
     return p.H.sorted_members, index, cosets
+
+
+def small_presentations(group):
+    """Every (N, alpha, s) over `group`: N a subgroup, alpha a class of
+    enumerate_cocycle_classes(N), s a sorted tuple of length 1 or 2."""
+    tuples = [GTuple(group, s) for n in (1, 2)
+              for s in combinations_with_replacement(group.elements(), n)]
+    return [GradedPresentation(group, n, alpha, s)
+            for n in group.all_subgroups()
+            for alpha in enumerate_cocycle_classes(n) for s in tuples]
+
+
+def class_representatives(group) -> list:
+    """The first of small_presentations(group) in each class_key class, in
+    order of first appearance."""
+    reps = {}
+    for p in small_presentations(group):
+        reps.setdefault(class_key(p), p)
+    return list(reps.values())
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gradalg import cli, scalars
+from gradalg import cli, linalg, scalars
 from gradalg.cli import main, parse_doc
 from gradalg.corpus import ambient_groups, generate_corpus, run_corpus
-from gradalg.errors import ParseError, ValidationError
+from gradalg.errors import ValidationError
 from gradalg.groups import MAX_CONDUCTOR, MAX_GROUP_ORDER, FiniteGroup
 from gradalg.identities import MAX_MULTIDEGREE_LEN
 
@@ -55,8 +55,9 @@ def test_parse_minimal_doc():
 
 
 def test_parse_rejects_bad_json():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="invalid JSON") as err:
         parse_doc("{not json")
+    assert err.value.path == "$"
 
 
 def test_parse_rejects_bad_cocycle():
@@ -174,11 +175,13 @@ _TOO_LARGE_IDS = ["large-cyclic", "large-product", "large-table"]
     (_klein_with_job({**_INCLUSION, "args": {"a": "A", "b": "B2",
                                              "max_len": True}}),
      ["run"], "$.jobs[2].args.max_len"),
+    # invalid JSON was once reported with no path, unlike in a verify report
+    ("{not json", ["run"], "$"),
 ])
 def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
                                                         argv, path):
     doc_path = tmp_path / "doc.json"
-    doc_path.write_text(json.dumps(doc))
+    doc_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main([*argv, str(doc_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -233,6 +236,24 @@ def test_run_reads_its_document_once(tmp_path, capsys, monkeypatch):
     assert json.loads(captured.out.splitlines()[-1])["holds"] is False
     assert "error: job 3: assignment enumeration exceeds 5\n" in captured.err
     assert "run: 5 jobs, exit codes [2, 0, 0, 1, 2]" in captured.err
+
+
+def test_run_survives_an_engine_fault(capsys, monkeypatch):
+    """A failed engine self-check is the error of the job that reaches it.
+    With linalg.rank patched to 0, IrrepData._verify refuses every minimal
+    representation, so the decide and construct jobs err and the
+    identity-inclusion job, which builds none, still runs.  The check once
+    raised a bare ArithmeticError, which ended the run in a traceback with
+    no summary line."""
+    monkeypatch.delenv("GRADALG_BUDGET", raising=False)
+    monkeypatch.setattr(linalg, "rank", lambda rows, ncols: 0)
+    assert main(["run", str(FIXTURES / "klein_twisted.json")]) == 1
+    captured = capsys.readouterr()
+    for k in (0, 1):
+        assert (f"error: job {k}: matrix images do not span a full matrix "
+                f"algebra\n") in captured.err
+    assert json.loads(captured.out)["command"] == "identity-inclusion"
+    assert "run: 3 jobs, exit codes [1, 1, 0]" in captured.err
 
 
 # paths into the klein_twisted fixture: "*" stands for any presentation
@@ -292,13 +313,14 @@ _DUPLICATE_IMAGE = {**_STRAY_IMAGE,
     ("{not json", "$"),
     ("[]", "$"),
     (json.dumps({"a": "A", "b": "A", "hom": {"images": []}}), "$.doc"),
+    (json.dumps({**_STRAY_IMAGE, "hom": None}), "$.hom"),
     (json.dumps(_STRAY_IMAGE), "$.hom.images[0]"),
     (json.dumps(_DUPLICATE_IMAGE), "$.hom.images[1]"),
     *[(json.dumps({**_STRAY_IMAGE,
                    "doc": {**_STRAY_IMAGE["doc"], "group": group}}),
        "$.doc.group") for group in _NOT_INTEGER_GROUPS + _TOO_LARGE_GROUPS],
-], ids=["invalid-json", "top-level-list", "no-doc", "stray-image-key",
-        "duplicate-image-key",
+], ids=["invalid-json", "top-level-list", "no-doc", "null-hom",
+        "stray-image-key", "duplicate-image-key",
         *("group-" + i for i in _NOT_INTEGER_IDS + _TOO_LARGE_IDS)])
 def test_verify_rejects_malformed_report_without_traceback(tmp_path, capsys,
                                                            text, path):

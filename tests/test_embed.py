@@ -3,25 +3,27 @@
 import hashlib
 import json
 import random
-from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 from gradalg import embed
 from gradalg.cli import parse_doc
-from gradalg.cocycles import Cocycle, enumerate_cocycle_classes, smallest_irrep
-from gradalg.corpus import generate_corpus
+from gradalg.cocycles import (Bicharacter, Cocycle, abelian_basis,
+                              coboundary_solve, enumerate_cocycle_classes,
+                              smallest_irrep)
+from gradalg.corpus import generate_corpus, separate
 from gradalg.embed import construct, decide, decide_part1, decide_part2
 from gradalg.errors import (DecisionFalse, MismatchedParent,
-                            NonAbelianUnsupported)
+                            NotFoundWithinBudget, Unsupported)
 from gradalg.galg import GradedHom, GradedPresentation, verify_hom
-from gradalg.groups import FiniteGroup, GTuple
+from gradalg.groups import FiniteGroup, GTuple, build_group, dihedral_table
 from gradalg.identities import separate_elementary, separate_part1
 from gradalg.scalars import CyclotomicScalar as C
 from gradalg.tuples import exists_shift, exists_shift_bruteforce, subsume_mod
 
-from conftest import class_key, random_coboundary
+from conftest import (class_key, class_representatives, random_coboundary,
+                      small_presentations)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -203,8 +205,65 @@ def test_nonabelian_twisted_target_rejected(d4):
     kl = d4.subgroup([0, 2, 4, 6])
     a = GradedPresentation(d4, kl, Cocycle.trivial(kl), GTuple.const(d4, 1))
     b = GradedPresentation(d4, kl, Cocycle.trivial(kl), GTuple.const(d4, 2))
-    with pytest.raises(NonAbelianUnsupported):
+    with pytest.raises(Unsupported, match="non-abelian ambient groups"):
         decide(a, b)
+
+
+_Z4 = FiniteGroup.cyclic(4)
+_KLEIN = FiniteGroup.product([FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)])
+_D4 = build_group({"kind": "table", "table": dihedral_table(4)})
+
+
+def _pres(group, elements, s, alpha=None):
+    """(N, alpha, s) with N the subgroup on `elements`, alpha trivial
+    unless given."""
+    sub = group.subgroup(elements)
+    return GradedPresentation(group, sub, alpha or Cocycle.trivial(sub),
+                              GTuple(group, s))
+
+
+_KLEIN_TWISTED = _pres(_KLEIN, range(4), [0],
+                       enumerate_cocycle_classes(_KLEIN.full_subgroup())[1])
+
+
+# decide's own guard, the symmetry guard of coboundary_solve and rebase's
+# conductor guard are tested beside their modules' other behaviour
+@pytest.mark.parametrize("call, message", [
+    (lambda: decide_part1(_pres(_D4, [0], [0]), _pres(_D4, range(8), [0])),
+     "requires an abelian group"),
+    (lambda: decide_part1(_pres(_Z4, [0], [0]), _pres(_Z4, [0, 2], [0])),
+     "requires the full subgroup target"),
+    (lambda: decide_part2(_pres(_D4, [0], [0]), _pres(_D4, [0], [0])),
+     "requires an abelian group"),
+    (lambda: decide_part2(_pres(_Z4, [0], [1]), _pres(_Z4, [0, 2], [0])),
+     "requires the source tuple in N2"),
+    (lambda: decide_part2(_pres(_Z4, [0], [0]), _pres(_Z4, [0, 2], [1])),
+     "requires the target tuple in N1"),
+    (lambda: separate_part1(_pres(_KLEIN, [0], [0]), _KLEIN_TWISTED),
+     "trivially twisted full-subgroup target"),
+    (lambda: separate_part1(_pres(_Z4, [0], [0]), _pres(_Z4, [0, 2], [0])),
+     "requires the full subgroup target"),
+    (lambda: separate_elementary(_pres(_Z4, [0], [0]),
+                                 _pres(_Z4, [0, 2], [0])),
+     "must carry an elementary grading"),
+    (lambda: Bicharacter.from_cocycle(Cocycle.trivial(_D4.full_subgroup())),
+     "bicharacter requires an abelian subgroup"),
+    (lambda: coboundary_solve(Cocycle.trivial(_D4.full_subgroup())),
+     "coboundary solving requires an abelian subgroup"),
+    (lambda: abelian_basis(_D4.full_subgroup()),
+     "basis decomposition requires abelian subgroup"),
+], ids=["part1-nonabelian", "part1-proper-target", "part2-nonabelian",
+        "part2-source-outside-n2", "part2-target-outside-n1",
+        "separator-part1-twisted", "separator-part1-proper-target",
+        "separator-elementary", "bicharacter-nonabelian",
+        "coboundary-nonabelian", "basis-nonabelian"])
+def test_shape_guards_raise_unsupported(call, message):
+    """Each route refuses a pair of another shape with Unsupported, which
+    the corpus's cross-checks and separator choice skip.  The guards on
+    proper-subgroup, crossed-tuple, twisted and non-elementary targets once
+    raised VerificationFailed, which now means a failed engine check."""
+    with pytest.raises(Unsupported, match=message):
+        call()
 
 
 def test_mismatched_ambient_rejected(z4, z10):
@@ -506,16 +565,6 @@ def test_decisions_share_their_tuples():
 
 
 
-def _small_presentations(group):
-    """Every (N, alpha, s) over `group`: N a subgroup, alpha a class of
-    enumerate_cocycle_classes(N), s a sorted tuple of length 1 or 2."""
-    tuples = [GTuple(group, s) for n in (1, 2)
-              for s in combinations_with_replacement(group.elements(), n)]
-    return [GradedPresentation(group, n, alpha, s)
-            for n in group.all_subgroups()
-            for alpha in enumerate_cocycle_classes(n) for s in tuples]
-
-
 @pytest.mark.parametrize("group, expected", [
     ("z4", (42, 800, 608)),
     pytest.param("klein", (84, 2588, 1424), marks=pytest.mark.slow),
@@ -529,7 +578,7 @@ def test_theorem_oracle_on_small_groups(request, group, expected):
     target gets a separator, which checks itself before it returns.
     Expected: (presentations, certified maps, separators)."""
     group = request.getfixturevalue(group)
-    presentations = _small_presentations(group)
+    presentations = small_presentations(group)
     certified = separated = 0
     for a in presentations:
         for b in presentations:
@@ -564,7 +613,7 @@ def test_decide_is_invariant_on_isomorphism_classes(request, group, expected):
     the two classes' first members.  Expected: (presentations, classes,
     pairs decided)."""
     group = request.getfixturevalue(group)
-    presentations = _small_presentations(group)
+    presentations = small_presentations(group)
     classes = {}
     for p in presentations:
         classes.setdefault(class_key(p), []).append(p)
@@ -577,3 +626,40 @@ def test_decide_is_invariant_on_isomorphism_classes(request, group, expected):
                     assert decide(a, b).verdict is verdict
                     pairs += 1
     assert (len(presentations), len(classes), pairs) == expected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("orders, expected", [
+    ((8,), (15, 68, 89, 0)),
+    ((2, 4), (36, 296, 267, 5)),
+    ((2, 2, 2), (102, 1850, 1001, 161)),
+], ids=["Z8", "Z2xZ4", "Z2xZ2xZ2"])
+def test_theorem_on_isomorphism_classes(orders, expected):
+    """Over every ordered pair of class representatives (see class_key)
+    of the small presentations: decide agrees with each fast path that
+    takes the pair's shape; every true decision constructs a certified
+    map; every false one gets a separator from corpus.separate, the route
+    choice of a corpus run, at length 3.  The counts were first taken with
+    the corpus's own shape tests, which picked the same routes.  Expected:
+    (classes, certified maps, structured separators, false pairs with no
+    separator at length 3)."""
+    group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in orders])
+    classes = class_representatives(group)
+    certified = structured = unseparated = 0
+    for a in classes:
+        for b in classes:
+            decision = decide(a, b)
+            for fast_path in (decide_part1, decide_part2):
+                try:
+                    assert fast_path(a, b).verdict is decision.verdict
+                except Unsupported:
+                    pass
+            if decision.verdict:
+                assert construct(a, b, decision).certificate.is_embedding
+                certified += 1
+                continue
+            try:
+                structured += separate(a, b, 3).kind != "bounded_fallback"
+            except NotFoundWithinBudget:
+                unseparated += 1
+    assert (len(classes), certified, structured, unseparated) == expected

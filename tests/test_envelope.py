@@ -6,7 +6,7 @@ import pytest
 
 from gradalg.cocycles import Cocycle, enumerate_cocycle_classes
 from gradalg.envelope import alpha_envelope, falpha, genvelope, round_trip_iso
-from gradalg.errors import MismatchedGroup
+from gradalg.errors import ElementOutsideGroup, MismatchedParent
 from gradalg.galg import GradedHom, GradedPresentation, verify_hom
 from gradalg.groups import GTuple
 from gradalg.identities import MultilinearPoly, identity_space, is_identity
@@ -34,7 +34,7 @@ def test_envelope_requires_same_group(klein, z4, klein_classes):
     _, nt = klein_classes
     ka = GradedPresentation.twisted_group_algebra(nt)
     other = GradedPresentation.elementary(z4, GTuple(z4, [0]))
-    with pytest.raises(MismatchedGroup):
+    with pytest.raises(MismatchedParent, match="graded by different groups"):
         genvelope(ka, other)
 
 
@@ -212,8 +212,7 @@ def test_embedding_transfer(klein, klein_classes):
 
 def test_falpha_requires_degrees_in_domain(klein, klein_classes):
     _, nt = klein_classes
-    from gradalg.errors import DegreeOutsideGroup
     sub_cocycle = nt.restrict(klein.subgroup([0, 1]))
     f = MultilinearPoly.variable(klein, 2)
-    with pytest.raises(DegreeOutsideGroup):
+    with pytest.raises(ElementOutsideGroup, match="leaves the cocycle domain"):
         falpha(f, sub_cocycle)

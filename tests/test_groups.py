@@ -5,8 +5,7 @@ import random
 import pytest
 
 from gradalg.cocycles import Cocycle
-from gradalg.errors import (MismatchedParent, NotAssociative, NotLatinSquare,
-                            NotSubgroup)
+from gradalg.errors import MismatchedParent, NotAGroup, NotSubgroup
 from gradalg.galg import GradedPresentation
 from gradalg.groups import (MAX_GROUP_ORDER, FiniteGroup, GTuple, Subgroup,
                             build_group, group_to_json)
@@ -44,14 +43,14 @@ def test_s3_not_abelian():
 
 
 def test_bad_latin_square_rejected():
-    with pytest.raises(NotLatinSquare):
+    with pytest.raises(NotAGroup, match="is not a permutation"):
         build_group({"kind": "table", "table": [[0, 0], [1, 1]]})
 
 
 def test_non_associative_rejected():
     # a Latin square that is not associative
     table = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAGroup, match=r"\(\d+\*\d+\)\*\d+ != "):
         build_group({"kind": "table", "table": table})
 
 
@@ -69,7 +68,7 @@ def test_large_non_associative_table_rejected():
     for _ in range(4096):
         a, b, c = (rng.randrange(n) for _ in range(3))
         assert table[table[a][b]][c] == table[a][table[b][c]]
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAGroup, match=r"\(\d+\*\d+\)\*\d+ != "):
         build_group({"kind": "table", "table": table})
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from gradalg import corpus, linalg
 from gradalg.cocycles import Cocycle
-from gradalg.errors import (BudgetExceeded, DecisionWasTrue, DegreeMismatch,
+from gradalg.errors import (BudgetExceeded, DecisionWasTrue, LengthMismatch,
                             NotFoundWithinBudget, ValidationError)
 from gradalg.galg import DirectSumAlgebra, GradedPresentation, verify_hom
 from gradalg.groups import FiniteGroup, GTuple
@@ -66,7 +66,7 @@ def test_degree_mismatch_rejected(klein, klein_classes):
     _, nt = klein_classes
     ka = GradedPresentation.twisted_group_algebra(nt)
     f = MultilinearPoly.variable(klein, 2)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(LengthMismatch, match="!= variable degree"):
         evaluate(f, [ka.basis_element((1, 0, 0))])
 
 

@@ -47,3 +47,28 @@ def test_every_name_the_benchmark_binds_resolves():
         assert cls is not None, (modname, clsname)
         assert method in vars(cls), (modname, clsname, method)
     _load_bench_module("workloads")
+
+
+def test_every_error_type_is_raised():
+    """Each exception type of gradalg.errors but the base names one thing
+    the caller can do, and something in the package raises it; nothing
+    raises a bare ArithmeticError, which `run`'s per-job handler, catching
+    GradAlgError, does not see."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    from gradalg import errors
+    defined = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    raised = set()
+    for path in Path(gradalg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert "ArithmeticError" not in raised
+    assert defined - {"GradAlgError"} <= raised, \
+        sorted(defined - {"GradAlgError"} - raised)

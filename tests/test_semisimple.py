@@ -1,12 +1,18 @@
 """Direct sums: minimal sets, component matching, power embeddings."""
 
+from itertools import combinations
+
 import pytest
 
+from gradalg.embed import decide
 from gradalg.errors import NoMatch
 from gradalg.galg import GradedPresentation
 from gradalg.groups import FiniteGroup, GTuple
+from gradalg.identities import inclusion_bounded
 from gradalg.semisimple import (SemisimplePresentation, embed_into_power,
                                 match_components, minimal_set, pair_inclusion)
+
+from conftest import class_representatives
 
 Z1 = FiniteGroup.cyclic(1)
 
@@ -112,3 +118,48 @@ def test_power_embedding_certifies_once(block_example, sweeps):
     copies, hom, cert = embed_into_power(SemisimplePresentation([a1, a2]),
                                          SemisimplePresentation([b]))
     assert sweeps == [hom] and cert.is_embedding
+
+
+# Pairs (A, B_j) of class representatives, as indices into
+# class_representatives, that neither decides true and no graded identity
+# of length at most 3 separates.  On Z2xZ2 they are the two 16-dimensional
+# classes over the whole group with s = (e, e), untwisted (15) and twisted
+# (17): neither embeds into the other, yet their identities agree up to
+# length 3.
+_UNSEPARATED = {"Z2xZ2": {(15, 17), (17, 15)}}
+
+
+@pytest.mark.parametrize("name, orders, expected", [
+    ("Z4", (4,), (36, 133, 0)),
+    pytest.param("Z2xZ2", (2, 2), (153, 1382, 32), marks=pytest.mark.slow),
+    pytest.param("Z6", (6,), (78, 518, 0), marks=pytest.mark.slow),
+], ids=["Z4", "Z2xZ2", "Z6"])
+def test_power_embedding_over_sums_of_two_classes(name, orders, expected):
+    """A simple A embeds into a power of B = B1 (+) B2 exactly when some B_j
+    decides A true: the projection of an embedding onto a component has a
+    graded ideal of A as kernel, so it is injective or zero.  So
+    embed_into_power certifies a one-copy map then and raises NoMatch
+    otherwise.  Where no component takes A, inclusion_bounded finds a
+    graded identity of B that is not one of A at length 3, unless A and a
+    component of B are a pinned pair.  Expected: (sums, pairs with no
+    component taking A, such pairs left unseparated)."""
+    group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in orders])
+    classes = class_representatives(group)
+    pinned = _UNSEPARATED.get(name, set())
+    sums = list(combinations(range(len(classes)), 2))
+    refused = unseparated = 0
+    for i, a in enumerate(classes):
+        source = SemisimplePresentation([a])
+        for pair in sums:
+            b = SemisimplePresentation([classes[j] for j in pair])
+            if any(decide(a, classes[j]).verdict for j in pair):
+                copies, _, cert = embed_into_power(source, b)
+                assert copies == 1 and cert.is_embedding
+                continue
+            with pytest.raises(NoMatch):
+                embed_into_power(source, b)
+            refused += 1
+            if inclusion_bounded(b, a, 3).holds:
+                assert any((i, j) in pinned for j in pair), (i, pair)
+                unseparated += 1
+    assert (len(sums), refused, unseparated) == expected
