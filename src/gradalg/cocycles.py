@@ -193,7 +193,7 @@ class Bicharacter:
         vals = {(a, b): alpha.values[(a, b)] / alpha.values[(b, a)]
                 for a in sub for b in sub}
         rad = [g for g in sub if all(vals[(g, h)].is_one() for h in sub)]
-        radical = sub.parent._interned(rad)
+        radical = Subgroup(sub.parent, rad)
         return cls(sub, vals, radical)
 
 
@@ -330,7 +330,7 @@ def smallest_irrep(gamma: Cocycle) -> IrrepData:
             continue
         if all(beta.values[(x, l)].is_one() for l in iso):
             iso = set(group.closure(iso | {x}).members)
-    isotropic = group._interned(iso)
+    isotropic = Subgroup(group, iso)
     mu = coboundary_solve(gamma.restrict(isotropic))
 
     reps = isotropic.transversal(within=sub).entries

@@ -40,7 +40,7 @@ class EmbedDecision:
     """Verdict plus the data that reproduces it.
 
     The pattern tuple is rebuilt by _pattern on each read, not kept: a
-    decision then holds only objects its inputs already hold (the interned
+    decision then holds only objects its inputs already hold (the group's
     subgroups, the transversal remembered on their group, the source
     presentation's tuple) besides its verdict and numbers.
     """

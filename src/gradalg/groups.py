@@ -1,9 +1,9 @@
 """Finite groups as Cayley tables, with subgroup, coset and tuple services.
 
 Elements are dense indices 0..n-1; all products go through the table.
-Subgroups the group derives itself (closures, intersections, the full and
-trivial subgroups, the subgroup lattice) are interned: the group keeps one
-Subgroup object per member set and hands that object out every time.
+A group keeps one Subgroup object per member set: `Subgroup(group, m)`
+checks m the first time it is seen and hands out that object every time
+after, so subgroups compare by identity.
 """
 
 from __future__ import annotations
@@ -112,42 +112,33 @@ class FiniteGroup:
         least doubles the reached subgroup, so there are at most
         1 + log2(n) of them.
         """
-        t = self.table
         gens: list[int] = []
         reached: set = set()
         for g in range(self.order):
-            if g in reached:
-                continue
-            gens.append(g)
-            reached = set(gens)
-            stack = list(gens)
-            while stack:
-                x = stack.pop()
-                for s in gens:
-                    y = t[x][s]
-                    if y not in reached:
-                        reached.add(y)
-                        stack.append(y)
+            if g not in reached:
+                gens.append(g)
+                reached = _reach(self.table, gens, gens)
         return gens
 
     def _find_identity(self) -> int:
+        """The table's one idempotent, x*x == x.
+
+        A table that passes _validate is a Latin square whose product is
+        associative, and a nonempty associative quasigroup is a group
+        (Clifford & Preston, vol. I, section 1.2); `cyclic` and `product`
+        write group tables directly.  In a group x*x == x gives
+        x == e by cancelling x, so the identity is the one idempotent, and
+        a*b == e gives b*a == e.  An empty table has no idempotent.
+        """
         for e in range(self.order):
-            if all(self.table[e][x] == x and self.table[x][e] == x
-                   for x in range(self.order)):
+            if self.table[e][e] == e:
                 return e
         raise NotAGroup("no two-sided identity element")
 
     def _find_inverses(self):
-        inv = [None] * self.order
-        e = self.identity
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == e and self.table[b][a] == e:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise NotAGroup(f"element {a} has no inverse")
-        return tuple(inv)
+        """The inverse of a is the column where row a holds the identity
+        (see _find_identity)."""
+        return tuple(row.index(self.identity) for row in self.table)
 
     # -- queries --------------------------------------------------------
 
@@ -176,70 +167,71 @@ class FiniteGroup:
     def subgroup(self, elements) -> Subgroup:
         return Subgroup(self, elements)
 
-    def _interned(self, members) -> Subgroup:
-        """This group's one Subgroup object on a member set known to be a
-        subgroup (no check)."""
-        members = frozenset(members)
-        sub = self._subgroups.get(members)
-        if sub is None:
-            sub = Subgroup(self, members, _validate=False)
-            self._subgroups[members] = sub
-        return sub
-
     def closure(self, generators) -> Subgroup:
-        members = {self.identity}
-        frontier = list(generators)
-        for g in frontier:
+        """The subgroup generated: in a finite group every element the
+        generators reach from the identity by right products."""
+        gens = list(generators)
+        for g in gens:
             self.check_element(g)
-        members.update(frontier)
-        changed = True
-        while changed:
-            changed = False
-            cur = list(members)
-            for a in cur:
-                for b in cur:
-                    p = self.table[a][b]
-                    if p not in members:
-                        members.add(p)
-                        changed = True
-        return self._interned(members)
+        return Subgroup(self, _reach(self.table, [self.identity], gens))
 
     def full_subgroup(self) -> Subgroup:
-        return self._interned(range(self.order))
+        return Subgroup(self, range(self.order))
 
     def trivial_subgroup(self) -> Subgroup:
-        return self._interned([self.identity])
+        return Subgroup(self, [self.identity])
 
     def all_subgroups(self) -> list[Subgroup]:
         """All subgroups, by closing generator sets (fine at table scale)."""
-        found = {frozenset([self.identity])}
-        frontier = [frozenset([self.identity])]
+        found = {self.trivial_subgroup()}
+        frontier = list(found)
         while frontier:
             base = frontier.pop()
             for g in range(self.order):
-                if g in base:
-                    continue
-                new = frozenset(self.closure(set(base) | {g}).members)
-                if new not in found:
-                    found.add(new)
-                    frontier.append(new)
-        subs = [self._interned(m) for m in found]
-        subs.sort(key=lambda s: (s.order, s.sorted_members))
-        return subs
+                if g not in base:
+                    new = self.closure([*base.sorted_members, g])
+                    if new not in found:
+                        found.add(new)
+                        frontier.append(new)
+        return sorted(found, key=lambda s: (s.order, s.sorted_members))
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-class Subgroup:
-    """A subgroup of a FiniteGroup, stored as its member set."""
+def _reach(table, start, gens) -> set:
+    """Every element reached from `start` by right products by `gens`, in
+    one breadth-first walk."""
+    reached = set(start)
+    queue = list(reached)
+    for x in queue:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    return reached
 
-    def __init__(self, parent: FiniteGroup, elements, _validate: bool = True):
-        self.parent = parent
-        self.members = frozenset(int(x) for x in elements)
-        self.sorted_members = tuple(sorted(self.members))
-        if _validate:
-            self._validate()
+
+class Subgroup:
+    """A subgroup of a FiniteGroup, stored as its member set.
+
+    Subgroup(parent, elements) returns the parent's one object for that
+    member set, checked when the set is first seen; a set that fails the
+    check is not kept."""
+
+    def __new__(cls, parent: FiniteGroup, elements):
+        members = frozenset(map(int, elements))
+        sub = parent._subgroups.get(members)
+        if sub is None:
+            sub = super().__new__(cls)
+            sub.parent = parent
+            sub.members = members
+            sub.sorted_members = tuple(sorted(members))
+            sub._validate()
+            parent._subgroups[members] = sub
+        return sub
 
     def _validate(self):
         g = self.parent
@@ -267,13 +259,6 @@ class Subgroup:
     def __len__(self):
         return len(self.members)
 
-    def __eq__(self, other):
-        return (isinstance(other, Subgroup) and self.parent is other.parent
-                and self.members == other.members)
-
-    def __hash__(self):
-        return hash((id(self.parent), self.members))
-
     def __repr__(self):
         return f"Subgroup({sorted(self.members)})"
 
@@ -292,7 +277,7 @@ class Subgroup:
 
     def intersection(self, other: Subgroup) -> Subgroup:
         self.same_parent(other)
-        return self.parent._interned(self.members & other.members)
+        return Subgroup(self.parent, self.members & other.members)
 
     def product_subgroup(self, other: Subgroup) -> Subgroup:
         """Subgroup generated by the set product (equals it when closed)."""
@@ -317,9 +302,9 @@ class Subgroup:
         H*x for x in `within` (default: the whole group), the identity's
         coset first and the rest ascending by representative.
 
-        Remembered on the group: a GTuple is immutable, and subgroups
-        compare by member set, so each decision over the same pair of
-        subgroups shares one tuple, whichever Subgroup objects it holds."""
+        Remembered on the group: a GTuple is immutable, and the group has
+        one Subgroup object per member set, so each decision over the same
+        pair of subgroups shares one tuple."""
         cache = self.parent._transversals
         tr = cache.get((self, within))
         if tr is None:
@@ -421,8 +406,9 @@ def json_ints(values, what: str) -> list:
 
 def build_group(spec: dict) -> FiniteGroup:
     """Build a group from its JSON specification, whose numbers must be
-    JSON integers (see json_ints).  A group of order above MAX_GROUP_ORDER
-    is refused before any table is built."""
+    JSON integers (see json_ints) and whose table names, if given, JSON
+    strings.  A group of order above MAX_GROUP_ORDER is refused before any
+    table is built."""
     order = _spec_order(spec)
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"group order {order} exceeds {MAX_GROUP_ORDER}")
@@ -451,6 +437,8 @@ def _spec_order(spec: dict) -> int:
         table = spec["table"]
         if not isinstance(table, list):
             raise ValueError("table must be a list of rows")
+        if not isinstance(spec.get("name", "G"), str):
+            raise ValueError("table group name must be a string")
         for row in table:
             json_ints(row, "each table row")
         return len(table)

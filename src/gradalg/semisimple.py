@@ -29,27 +29,22 @@ def pair_inclusion(a_i: GradedPresentation, b_j: GradedPresentation) -> bool:
 def minimal_set(components: list[GradedPresentation]):
     """Drop components whose identity ideal contains a retained one's.
 
-    Keeps the earliest component of each equivalence chain: component j is
-    removed when some retained i != j embeds nothing more, i.e. the identity
-    ideal of i sits inside that of j.  Returns (kept, removal log).
+    By the embedding criterion, A_j embeds into A_i exactly when Id(A_i)
+    sits inside Id(A_j).  Each ordered pair is decided once.  Component j
+    is dropped when it embeds into some i != j that does not embed back or
+    comes earlier, so the earliest component of each equivalence class is
+    kept.  The removal log pairs j with the first kept component it embeds
+    into; one exists because embedding is transitive.  Returns (kept,
+    removal log).
     """
-    kept = list(range(len(components)))
-    log = []
-    changed = True
-    while changed:
-        changed = False
-        for j in list(kept):
-            for i in kept:
-                if i == j:
-                    continue
-                # Id(A_i) <= Id(A_j) means A_j embeds into A_i
-                if pair_inclusion(components[j], components[i]):
-                    kept.remove(j)
-                    log.append((j, i))
-                    changed = True
-                    break
-            if changed:
-                break
+    n = len(components)
+    into = [[i != j and pair_inclusion(a_j, components[i]) for i in range(n)]
+            for j, a_j in enumerate(components)]
+    dropped = [any(into[j][i] and (i < j or not into[i][j])
+                   for i in range(n)) for j in range(n)]
+    kept = [i for i in range(n) if not dropped[i]]
+    log = [(j, next(i for i in kept if into[j][i]))
+           for j in range(n) if dropped[j]]
     return [components[i] for i in kept], log
 
 

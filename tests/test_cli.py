@@ -134,6 +134,41 @@ _TOO_LARGE_GROUPS = [
 _TOO_LARGE_IDS = ["large-cyclic", "large-product", "large-table"]
 
 
+# No parametrized test here takes its ids from case positions, so a case
+# added anywhere renames no other.  Cases that once had positional ids keep
+# them as written ids, which other records name; new cases get descriptive
+# names.
+_MALFORMED_DOC_IDS = [
+    "doc0-argv0-$.presentations",
+    "doc1-argv1-$.jobs[0]",
+    "doc2-argv2---b",
+    "doc3-argv3-$.jobs[2].args.max_len",
+    "doc4-argv4-$.jobs[2].args.max_len",
+    "doc5-argv5-$.jobs[2].args.cocycle",
+    "doc6-argv6-$.version",
+    "doc7-argv7-$.version",
+    "doc8-argv8-$.group",
+    "doc9-argv9-$.group",
+    "doc10-argv10-$.group",
+    "doc11-argv11-$.group",
+    "doc12-argv12-$.group",
+    "doc13-argv13-$.group",
+    "doc14-argv14-$.group",
+    "doc15-argv15-$.group",
+    "doc16-argv16-$.group",
+    "doc17-argv17-$.group",
+    "doc18-argv18-$.jobs[2].args.a",
+    "doc19-argv19-$.jobs[2].args.cocycle",
+    "doc20-argv20-$.jobs[2].args.a",
+    "doc21-argv21-$.jobs[2].args.max_len",
+    "doc22-argv22-$.jobs[2].args.max_len",
+    "doc23-argv23-$.jobs[2].args.budget",
+    "doc24-argv24-$.jobs[2].args.max_len",
+    "{not json-argv25-$",
+    "table-name-not-string",
+]
+
+
 @pytest.mark.parametrize("doc, argv, path", [
     ({"group": _GROUP, "presentations": [_TRIVIAL]}, ["decide"],
      "$.presentations"),
@@ -177,7 +212,10 @@ _TOO_LARGE_IDS = ["large-cyclic", "large-product", "large-table"]
      ["run"], "$.jobs[2].args.max_len"),
     # invalid JSON was once reported with no path, unlike in a verify report
     ("{not json", ["run"], "$"),
-])
+    # a table group's name was once any JSON value, copied into reports
+    ({"group": {"kind": "table", "table": [[0, 1], [1, 0]], "name": 5},
+      "presentations": {"A": _TRIVIAL}}, ["decide"], "$.group"),
+], ids=_MALFORMED_DOC_IDS)
 def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
                                                         argv, path):
     doc_path = tmp_path / "doc.json"
@@ -189,7 +227,8 @@ def test_parse_rejects_malformed_doc_without_traceback(tmp_path, capsys, doc,
     assert f"error: {path}: " in captured.err
 
 
-@pytest.mark.parametrize("command", ["x", ["decide"], None])
+@pytest.mark.parametrize("command", ["x", ["decide"], None],
+                         ids=["x", "command1", "None"])
 def test_run_rejects_unknown_job_command(tmp_path, capsys, command):
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(_klein_with_job({"command": command})))
@@ -591,7 +630,10 @@ def test_verify_rejects_basis_keys_that_are_not_integers(tmp_path, capsys,
      "--max-len"),
     (["identity-inclusion", _KLEIN, "--b", "B2", "--budget", "0"],
      "--budget"),
-])
+], ids=["argv0---order-bound", "argv1---order-bound", "argv2---max-len",
+        "argv3---max-len", "argv4---order-bound", "argv5---count",
+        "argv6---budget", "argv7---workers", "argv8---max-len",
+        "argv9---budget"])
 def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
     """Each value is rejected before any work starts (and so before any
     worker process could)."""
@@ -791,6 +833,33 @@ def test_main_error_exit():
     assert main(["decide", "/nonexistent/doc.json"]) == 1
 
 
+# the positional ids of these cases (see _MALFORMED_DOC_IDS)
+_FIXTURE_REPORT_IDS = [
+    "argv0-0-2d0b4058617340bdac8751519d83fcde6d78db77705e2032e997984f132a1999"
+    "-None",
+    "argv1-2-a4007d163afef2c059bc108f40d77c268f22d087b6ea5114b8990127888c0e79"
+    "-None",
+    "argv2-0-65ef58cd0740beba282412643abb382b0e7322bc19d88757c0d6b5e5fdf113dc"
+    "-f653b5c41595c55222a59f60b89fae1049b84c7f6dac68eeee96ebd2ca0a5db6",
+    "argv3-2-95bdaad96a39de21f4890dac1598e24c4aa43b43d9fbde27d45f5af05df301a8"
+    "-None",
+    "argv4-0-1857d4988df23f14ae0b6753a7aa3c4845bdf54fc34991d4fd1116674abb0329"
+    "-None",
+    "argv5-2-02e6590c26487ddeb37a3b8fe31d59b9a939a040869946f075bc770c8a22c3f6"
+    "-None",
+    "argv6-0-dc33f48e7c65fa99023ff6e2a7a1218ab1730ef05bc51fc234b54dbf8f345cb2"
+    "-None",
+    "argv7-0-9a77875543c200608a53418bc9eeca2e60bcd8cb43586c438843706653b086ce"
+    "-d21dd2b6f5ce295559de9598f47271748009b62975244bbb7a7bc5569d2b0173",
+    "argv8-0-2d4b1e8fec01a3051885047bae474dc211234143290d3e0d8b5747a30032785a"
+    "-None",
+    "argv9-2-ff5727faa4546bfe4b2d2473fa254c93ec0210a072361f06de7470e28394d383"
+    "-None",
+    "argv10-0-d34eff403406faa0ae9a599b726229ffb6c937175f8b2a76a7bda2bef109949c"
+    "-None",
+]
+
+
 @pytest.mark.parametrize("argv, code, digest, verify_digest", [
     (["decide", "klein_twisted", "--a", "A", "--b", "B2"], 0,
      "2d0b4058617340bdac8751519d83fcde6d78db77705e2032e997984f132a1999", None),
@@ -816,7 +885,7 @@ def test_main_error_exit():
      "ff5727faa4546bfe4b2d2473fa254c93ec0210a072361f06de7470e28394d383", None),
     (["semisimple-embed", "zmod10_block_sum", "--a", "A1,A2", "--b", "B"], 0,
      "d34eff403406faa0ae9a599b726229ffb6c937175f8b2a76a7bda2bef109949c", None),
-])
+], ids=_FIXTURE_REPORT_IDS)
 def test_fixture_reports_are_byte_identical(tmp_path, capsys, argv, code,
                                             digest, verify_digest):
     """The stdout bytes of each request on a fixture are pinned by a digest,

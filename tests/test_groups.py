@@ -134,6 +134,17 @@ def test_subgroup_validation(z4):
         Subgroup(z4, [1, 3])  # missing identity
 
 
+def test_one_checked_subgroup_per_member_set(z4):
+    """Equal member sets give the group's one object; a set that fails the
+    check is refused each time it is given, not kept."""
+    assert Subgroup(z4, [0, 2]) is Subgroup(z4, [2, 0]) is z4.closure([2])
+    for _ in range(2):
+        with pytest.raises(NotSubgroup, match="missing inverse of 1"):
+            Subgroup(z4, [0, 1])
+    with pytest.raises(NotAGroup, match="no two-sided identity"):
+        FiniteGroup.from_table([])
+
+
 def test_mismatched_parents(z4, z10):
     a = z4.subgroup([0, 2])
     b = z10.subgroup([0, 5])
@@ -181,13 +192,13 @@ def test_derived_subgroups_are_interned(klein, d4):
 
 
 def test_public_subgroups_keep_value_semantics(klein):
-    """Subgroup(...) and the JSON readers build fresh objects; they compare
-    and hash by parent and members, interned or not."""
+    """Subgroup(...), the JSON readers and the derivations all hand out the
+    group's one object per member set."""
     p = GradedPresentation(klein, klein.closure([1]), Cocycle.trivial(
         klein.closure([1])), GTuple(klein, [0, 2]))
     q = GradedPresentation.from_json(klein, p.to_json())
     fresh = Subgroup(klein, [1, 0])
-    assert q.H is not p.H and fresh is not p.H
+    assert q.H is p.H is fresh is klein.closure([1])
     assert q.H == p.H == fresh and hash(q.H) == hash(p.H) == hash(fresh)
     assert len({q.H, p.H, fresh, klein.closure([1])}) == 1
     assert q.alpha.subgroup == p.H

@@ -58,6 +58,15 @@ def test_minimal_set_idempotent(block_example):
     assert twice == once and log == []
 
 
+def test_minimal_set_keeps_the_earliest_of_equivalent_components():
+    z4 = FiniteGroup.cyclic(4)
+    x = GradedPresentation.elementary(z4, GTuple(z4, [0]))
+    y = GradedPresentation.elementary(z4, GTuple(z4, [1]))
+    assert pair_inclusion(x, y) and pair_inclusion(y, x)
+    kept, log = minimal_set([x, y])
+    assert len(kept) == 1 and kept[0] is x and log == [(1, 0)]
+
+
 def test_match_components(block_example):
     _, a1, a2, b = block_example
     a = SemisimplePresentation([a1, a2])
@@ -142,7 +151,9 @@ def test_power_embedding_over_sums_of_two_classes(name, orders, expected):
     otherwise.  Where no component takes A, inclusion_bounded finds a
     graded identity of B that is not one of A at length 3, unless A and a
     component of B are a pinned pair.  Expected: (sums, pairs with no
-    component taking A, such pairs left unseparated)."""
+    component taking A, such pairs left unseparated).  match_components
+    names the first B_j that decides A true, so it is None exactly when
+    embed_into_power raises NoMatch."""
     group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in orders])
     classes = class_representatives(group)
     pinned = _UNSEPARATED.get(name, set())
@@ -152,6 +163,9 @@ def test_power_embedding_over_sums_of_two_classes(name, orders, expected):
         source = SemisimplePresentation([a])
         for pair in sums:
             b = SemisimplePresentation([classes[j] for j in pair])
+            assert match_components(source, b) == [next(
+                (k for k, j in enumerate(pair)
+                 if decide(a, classes[j]).verdict), None)]
             if any(decide(a, classes[j]).verdict for j in pair):
                 copies, _, cert = embed_into_power(source, b)
                 assert copies == 1 and cert.is_embedding
@@ -163,3 +177,22 @@ def test_power_embedding_over_sums_of_two_classes(name, orders, expected):
                 assert any((i, j) in pinned for j in pair), (i, pair)
                 unseparated += 1
     assert (len(sums), refused, unseparated) == expected
+
+
+@pytest.mark.parametrize("orders, expected_drops", [
+    ((4,), 23),
+    pytest.param((2, 2), 86, marks=pytest.mark.slow),
+    pytest.param((6,), 40, marks=pytest.mark.slow),
+], ids=["Z4", "Z2xZ2", "Z6"])
+def test_minimal_set_over_pairs_of_classes(orders, expected_drops):
+    """When minimal_set drops one of two classes for the other, the graded
+    identities of the kept one are identities of the dropped one up to
+    length 3.  Expected: the drops over all pairs of classes."""
+    group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in orders])
+    drops = 0
+    for pair in combinations(class_representatives(group), 2):
+        _, log = minimal_set(list(pair))
+        for dropped, kept in log:
+            assert inclusion_bounded(pair[kept], pair[dropped], 3).holds
+        drops += len(log)
+    assert drops == expected_drops
