@@ -232,9 +232,12 @@ def _hom_from_report(report: dict):
     for n, entry in enumerate(entries):
         try:
             key = _basis_key(entry["key"])
-            terms = {_basis_key(t["key"]):
-                     CyclotomicScalar.from_json(t["coeff"])
-                     for t in entry["terms"]}
+            terms = {}
+            for t in entry["terms"]:
+                target = _basis_key(t["key"])
+                if target in terms:
+                    raise ValueError(f"second term for basis key {target}")
+                terms[target] = CyclotomicScalar.from_json(t["coeff"])
             known = key in src_keys and terms.keys() <= tgt_keys
         except (GradAlgError, KeyError, TypeError, ValueError,
                 ZeroDivisionError) as exc:

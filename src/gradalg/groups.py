@@ -15,12 +15,16 @@ from .errors import (ElementOutsideGroup, MismatchedParent, NotAGroup,
 class FiniteGroup:
     """A finite group given by its multiplication table."""
 
-    def __init__(self, table, name: str = "G", cyclic_factors=None,
+    def __init__(self, table, name: str = "G", _spec=None,
                  _validate: bool = True):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.name = name
-        self.cyclic_factors = tuple(cyclic_factors) if cyclic_factors else None
+        # the normalized specification group_to_json writes back: a cyclic
+        # order, a flat product of cyclic and table specifications, or, by
+        # default, this table and name
+        self._spec = _spec or {"kind": "table", "table": self.table,
+                               "name": name}
         self._subgroups: dict[frozenset, Subgroup] = {}
         # (subgroup, within) -> GTuple, filled by Subgroup.transversal
         self._transversals: dict[tuple, GTuple] = {}
@@ -37,7 +41,8 @@ class FiniteGroup:
     @classmethod
     def cyclic(cls, n: int) -> FiniteGroup:
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return cls(table, name=f"Z{n}", cyclic_factors=(n,), _validate=False)
+        return cls(table, name=f"Z{n}", _spec={"kind": "cyclic", "n": n},
+                   _validate=False)
 
     @classmethod
     def product(cls, factors: list[FiniteGroup]) -> FiniteGroup:
@@ -69,10 +74,17 @@ class FiniteGroup:
                 table[a][b] = encode([g.table[x][y]
                                       for g, x, y in zip(factors, pa, pb)])
         name = "x".join(g.name for g in factors)
-        cf = []
+        # a nested product encodes its elements as the flat product of its
+        # factors does (mixed radix), so it is written flat; one factor is
+        # written as itself
+        flat = []
         for g in factors:
-            cf.extend(g.cyclic_factors or (g.order,))
-        return cls(table, name=name, cyclic_factors=cf, _validate=False)
+            spec = g._spec
+            flat.extend(spec["factors"] if spec["kind"] == "product"
+                        else (spec,))
+        spec = flat[0] if len(flat) == 1 else {"kind": "product",
+                                               "factors": tuple(flat)}
+        return cls(table, name=name, _spec=spec, _validate=False)
 
     @classmethod
     def from_table(cls, table, name: str = "G") -> FiniteGroup:
@@ -455,14 +467,23 @@ def _build(spec: dict) -> FiniteGroup:
 
 
 def group_to_json(group: FiniteGroup) -> dict:
-    if group.cyclic_factors and len(group.cyclic_factors) == 1:
-        return {"kind": "cyclic", "n": group.cyclic_factors[0]}
-    if group.cyclic_factors:
+    """The specification the group was built from, normalized: a cyclic
+    order, a table with its name, or a product of those (nested products
+    flattened, a one-factor product written as its factor), so build_group
+    rebuilds the same table.  A fresh dict on each call, since it goes into
+    reports: no caller shares the group's own."""
+    return _spec_json(group._spec)
+
+
+def _spec_json(spec: dict) -> dict:
+    kind = spec["kind"]
+    if kind == "cyclic":
+        return {"kind": "cyclic", "n": spec["n"]}
+    if kind == "product":
         return {"kind": "product",
-                "factors": [{"kind": "cyclic", "n": n}
-                            for n in group.cyclic_factors]}
-    return {"kind": "table", "table": [list(r) for r in group.table],
-            "name": group.name}
+                "factors": [_spec_json(f) for f in spec["factors"]]}
+    return {"kind": "table", "table": [list(r) for r in spec["table"]],
+            "name": spec["name"]}
 
 
 def dihedral_table(n: int) -> list[list[int]]:

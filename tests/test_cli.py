@@ -15,7 +15,8 @@ from gradalg import cli, linalg, scalars
 from gradalg.cli import main, parse_doc
 from gradalg.corpus import ambient_groups, generate_corpus, run_corpus
 from gradalg.errors import ValidationError
-from gradalg.groups import MAX_CONDUCTOR, MAX_GROUP_ORDER, FiniteGroup
+from gradalg.groups import (MAX_CONDUCTOR, MAX_GROUP_ORDER, FiniteGroup,
+                            build_group, dihedral_table)
 from gradalg.identities import MAX_MULTIDEGREE_LEN
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -346,6 +347,8 @@ _IDENTITY_IMAGE = {"key": [0, 0, 0],
                    "terms": [{"key": [0, 0, 0], "coeff": _ONE}]}
 _DUPLICATE_IMAGE = {**_STRAY_IMAGE,
                     "hom": {"images": [_IDENTITY_IMAGE, _IDENTITY_IMAGE]}}
+_DUPLICATE_TERM = {**_STRAY_IMAGE, "hom": {"images": [
+    {**_IDENTITY_IMAGE, "terms": _IDENTITY_IMAGE["terms"] * 2}]}}
 
 
 @pytest.mark.parametrize("text, path", [
@@ -358,9 +361,11 @@ _DUPLICATE_IMAGE = {**_STRAY_IMAGE,
     *[(json.dumps({**_STRAY_IMAGE,
                    "doc": {**_STRAY_IMAGE["doc"], "group": group}}),
        "$.doc.group") for group in _NOT_INTEGER_GROUPS + _TOO_LARGE_GROUPS],
+    (json.dumps(_DUPLICATE_TERM), "$.hom.images[0]"),
 ], ids=["invalid-json", "top-level-list", "no-doc", "null-hom",
         "stray-image-key", "duplicate-image-key",
-        *("group-" + i for i in _NOT_INTEGER_IDS + _TOO_LARGE_IDS)])
+        *("group-" + i for i in _NOT_INTEGER_IDS + _TOO_LARGE_IDS),
+        "duplicate-term-key"])
 def test_verify_rejects_malformed_report_without_traceback(tmp_path, capsys,
                                                            text, path):
     report_path = tmp_path / "report.json"
@@ -768,6 +773,24 @@ def test_construct_sweeps_once_and_matches_verify(tmp_path, capsys, sweeps):
     assert len(sweeps) == 2
     verified = json.loads(capsys.readouterr().out)
     assert verified["certificate"] == json.loads(built)["certificate"]
+
+
+def test_construct_report_keeps_a_table_factor(tmp_path, capsys):
+    """A report over D3 x Z2 names that group, not the abelian Z6 x Z2 of
+    the same order, so verify re-certifies the map over the input group."""
+    group = {"kind": "product", "factors": [
+        {"kind": "table", "table": dihedral_table(3), "name": "D3"}, _GROUP]}
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps({"version": 1, "group": group,
+                                    "presentations": {"A": {
+                                        **_TRIVIAL, "s": {"entries": [0, 1]}}}}))
+    assert main(["construct", str(doc_path), "--a", "A", "--b", "A"]) == 0
+    built = capsys.readouterr().out
+    rebuilt = build_group(json.loads(built)["doc"]["group"])
+    assert rebuilt.table == build_group(group).table
+    report_path = tmp_path / "report.json"
+    report_path.write_text(built)
+    assert main(["verify", str(report_path)]) == 0
 
 
 def test_identity_inclusion_command():

@@ -1,5 +1,6 @@
 """Group construction, validation, subgroup services and tuples."""
 
+import json
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from gradalg.cocycles import Cocycle
 from gradalg.errors import MismatchedParent, NotAGroup, NotSubgroup
 from gradalg.galg import GradedPresentation
 from gradalg.groups import (MAX_GROUP_ORDER, FiniteGroup, GTuple, Subgroup,
-                            build_group, group_to_json)
+                            build_group, dihedral_table, group_to_json)
 
 
 def s3_table():
@@ -164,10 +165,41 @@ def test_tuple_shift(z10):
     assert u.shift(5).entries == (6,)
 
 
+_D3 = {"kind": "table", "table": dihedral_table(3), "name": "D3"}
+_Z2, _Z3 = {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}
+
+
 def test_group_json_round_trip(klein):
-    spec = group_to_json(klein)
-    rebuilt = build_group(spec)
-    assert rebuilt.table == klein.table
+    """A group is written back as the specification it was built from, so
+    the rebuilt table is the input's and a second write gives the same
+    bytes; the written dict is the caller's own."""
+    specs = [group_to_json(klein),
+             {"kind": "product", "factors": [_D3, _Z2]},
+             {"kind": "product", "factors": [_D3]},
+             {"kind": "product", "factors": [
+                 {"kind": "product", "factors": [_Z2, _D3]}, _Z3]},
+             {"kind": "table", "table": dihedral_table(4), "name": "D4"}]
+    for spec in specs:
+        group = build_group(spec)
+        written = group_to_json(group)
+        rebuilt = build_group(written)
+        assert rebuilt.table == group.table
+        assert json.dumps(group_to_json(rebuilt)) == json.dumps(written)
+        written["kind"] = "cyclic"
+        assert group_to_json(group) == group_to_json(rebuilt)
+
+
+def test_products_are_written_flat_and_one_factor_as_itself():
+    z6 = FiniteGroup.cyclic(6)
+    assert group_to_json(FiniteGroup.product([z6])) == {"kind": "cyclic",
+                                                        "n": 6}
+    d3 = build_group(_D3)
+    assert group_to_json(FiniteGroup.product([d3])) == _D3
+    nested = FiniteGroup.product([FiniteGroup.product([FiniteGroup.cyclic(2),
+                                                       d3]),
+                                  FiniteGroup.cyclic(3)])
+    assert group_to_json(nested) == {"kind": "product",
+                                     "factors": [_Z2, _D3, _Z3]}
 
 
 def test_dihedral_table_is_group(d4):

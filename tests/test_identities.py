@@ -24,6 +24,8 @@ from gradalg.identities import (MAX_MULTIDEGREE_LEN, MultilinearPoly,
                                 separate_part1, standard_poly)
 from gradalg.scalars import CyclotomicScalar as C
 
+from conftest import class_key, small_presentations
+
 Z1 = FiniteGroup.cyclic(1)
 
 
@@ -566,3 +568,42 @@ def test_identity_space_kernels_at_length_4_are_byte_identical():
     text = json.dumps(spaces, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "af33aefdb1905a4ecf4b3bbf19b4c468a856d77b1b032195798e12d0418fcfa0"
+
+
+@pytest.mark.parametrize("orders, expected", [
+    ((4,), (1122, 0)),
+    ((2, 2), (2244, 0)),
+    ((6,), (7885, 0)),
+    pytest.param((8,), (26404, 0), marks=pytest.mark.slow),
+    pytest.param((2, 4), (66256, 302), marks=pytest.mark.slow),
+], ids=["Z4", "Z2xZ2", "Z6", "Z8", "Z2xZ4"])
+def test_identity_spaces_agree_across_isomorphism_classes(orders, expected):
+    """Graded-isomorphic presentations have the same graded identities, so
+    every member of a class (see class_key) has its class representative's
+    identity space, vector for vector, at every sorted multidegree of
+    length <= 3.  Values are compared, not printed forms: a kernel
+    coefficient keeps the conductor of the arithmetic that produced it,
+    which can differ across a class.  Expected: (member-representative
+    space pairs, pairs equal in value whose conductors differ)."""
+    group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in orders])
+    degrees = [d for length in (1, 2, 3) for d in
+               combinations_with_replacement(group.elements(), length)]
+    reps, members = {}, []
+    for p in small_presentations(group):
+        rep = reps.setdefault(class_key(p), p)
+        if p is not rep:
+            members.append((p, rep))
+    spaces = {}
+    pairs = relabelled = 0
+    for p, rep in members:
+        for d in degrees:
+            if (id(rep), d) not in spaces:
+                spaces[id(rep), d] = identity_space(rep, d).vectors
+            want, got = spaces[id(rep), d], identity_space(p, d).vectors
+            assert len(got) == len(want)
+            assert all(x == y for u, v in zip(got, want)
+                       for x, y in zip(u, v))
+            pairs += 1
+            relabelled += any(x.conductor != y.conductor for u, v in
+                              zip(got, want) for x, y in zip(u, v))
+    assert (pairs, relabelled) == expected

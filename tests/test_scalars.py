@@ -268,6 +268,20 @@ def _scalar_at(draw, m, rationals=_rationals):
     return C(m, [draw(rationals) for _ in range(euler_phi(m))])
 
 
+@st.composite
+def _step_entry(draw, m):
+    """A scalar at conductor m: a zero, a root of unity, an integral
+    element (denominator 1) or one with rational coordinates."""
+    kind = draw(st.sampled_from(["zero", "root", "integral", "rational"]))
+    if kind == "zero":
+        return C.zero(m)
+    if kind == "root":
+        return C.zeta(m, draw(st.integers(0, m - 1)))
+    if kind == "integral":
+        return C(m, [draw(st.integers(-5, 5)) for _ in range(euler_phi(m))])
+    return draw(_scalar_at(m))
+
+
 def _exact_form(x, m):
     assert x.conductor == m
     assert type(x.coeffs) is tuple and len(x.coeffs) == euler_phi(m)
@@ -275,16 +289,26 @@ def _exact_form(x, m):
     return x.conductor, x.coeffs
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from([(1, 1), (1, 4), (4, 1), (1, 3), (3, 1), (1, 12),
-                        (12, 1), (4, 4), (12, 12), (3, 4), (4, 6)]).flatmap(
-           lambda mm: st.tuples(st.just(lcm(mm[0], mm[1])), _scalar_at(mm[0]),
-                                _scalar_at(mm[1]))))
+                        (12, 1), (4, 4), (12, 12), (3, 4), (4, 6), (2, 2),
+                        (3, 3), (5, 5), (8, 8), (2, 8)]).flatmap(
+           lambda mm: st.tuples(st.just(lcm(mm[0], mm[1])),
+                                _scalar_at(mm[0]) | _step_entry(mm[0]),
+                                _scalar_at(mm[1]) | _step_entry(mm[1]))))
 def test_fast_path_matches_general_route(case):
+    """Every operator against the rational reference route, on arbitrary
+    rational operands and on zeros, roots of unity and integral elements,
+    at equal conductors (where operands over 1 take the fast path) and at
+    unequal ones; a == b holds exactly when the reference a - b is zero."""
     m, a, b = case
     assert _exact_form(a * b, m) == _general(m, a, b, "mul")
     assert _exact_form(a + b, m) == _general(m, a, b, "add")
     assert _exact_form(a - b, m) == _general(m, a, -b, "add")
+    # a + a has a's numerators over half its denominator when that is even
+    for x, y in ((a, b), (b, a), (a, C(a.conductor, a.coeffs)),
+                 (a.rebase(m), a), (a, a + a)):
+        assert (x == y) == (not any(_general(m, x, -y, "add")[1]))
     assert _exact_form(-a, a.conductor) == _general(a.conductor, a, op="neg")
     if not b.is_zero():
         assert _exact_form(a / b, m) == _general(m, a, b, "div")
@@ -451,20 +475,6 @@ def test_power_tables_are_bounded_and_rebuilt_equal():
 # -- the fused elimination step ---------------------------------------------------
 
 _step_conductors = st.sampled_from([1, 2, 3, 4, 5, 8, 12])
-
-
-@st.composite
-def _step_entry(draw, m):
-    """A scalar at conductor m: a zero, a root of unity, an integral
-    element (denominator 1) or one with rational coordinates."""
-    kind = draw(st.sampled_from(["zero", "root", "integral", "rational"]))
-    if kind == "zero":
-        return C.zero(m)
-    if kind == "root":
-        return C.zeta(m, draw(st.integers(0, m - 1)))
-    if kind == "integral":
-        return C(m, [draw(st.integers(-5, 5)) for _ in range(euler_phi(m))])
-    return draw(_scalar_at(m))
 
 
 @settings(max_examples=400, deadline=None)
