@@ -31,17 +31,14 @@ starting at 1), so a prime that divides every coordinate at conductor M
 divides every coordinate at conductor m.  An inverse is taken through the
 field norm (see `inverse`), again with the power table alone.
 
-Operands at one conductor m, both over 1 (every root of unity, every
-cocycle value, and their integer combinations), take a fast path in *, + and
--: the numerators are combined directly, _mul_reduced(m, x, y) for a product
-(one int product when phi = 1) and the componentwise sum or difference
-otherwise, and the result is _exact(m, those numerators, 1).  That is the
-scalar the general route builds: with equal conductors _common returns both
-operands unchanged, the general route combines the same numerators over
-1 * 1 = 1 (a difference as the sum with the negation), and _canon(m, num, 1)
-is _exact(m, tuple(num), 1).  Equality at one conductor compares num and den
-directly, which is what it does after _common at any conductor.  So the
-fast path changes no value, no conductor and no printed byte.
+A product of two operands at one conductor m, both over 1 (every root of
+unity, every cocycle value, and their integer combinations), takes a fast
+path: it is _exact(m, _mul_reduced(m, x, y), 1), one int product when
+phi = 1.  That is the scalar the general route builds: with equal
+conductors _common returns both operands unchanged, the general route
+multiplies the same numerators over 1 * 1 = 1, and _canon(m, num, 1) is
+_exact(m, tuple(num), 1).  So the fast path changes no value, no conductor
+and no printed byte.
 
 Conductors 1 and 2 have phi = 1: the field is Q and a scalar is one rational
 num[0] / den, so the same code does plain int arithmetic there, with a
@@ -256,10 +253,6 @@ class CyclotomicScalar:
     def __add__(self, other):
         if other.__class__ is not CyclotomicScalar:
             return NotImplemented
-        m = self.conductor
-        if m == other.conductor and self.den == 1 and other.den == 1:
-            return _exact(m, tuple([p + q for p, q in
-                                    zip(self.num, other.num)]), 1)
         a, b = self._common(other)
         da, db = a.den, b.den
         if da == db:
@@ -275,10 +268,6 @@ class CyclotomicScalar:
     def __sub__(self, other):
         if other.__class__ is not CyclotomicScalar:
             return NotImplemented
-        m = self.conductor
-        if m == other.conductor and self.den == 1 and other.den == 1:
-            return _exact(m, tuple([p - q for p, q in
-                                    zip(self.num, other.num)]), 1)
         return self + (-other)
 
     def __mul__(self, other):
@@ -338,8 +327,6 @@ class CyclotomicScalar:
     def __eq__(self, other):
         if other.__class__ is not CyclotomicScalar:
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.num == other.num and self.den == other.den
         a, b = self._common(other)
         return a.num == b.num and a.den == b.den
 

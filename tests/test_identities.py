@@ -571,11 +571,11 @@ def test_identity_space_kernels_at_length_4_are_byte_identical():
 
 
 @pytest.mark.parametrize("orders, expected", [
-    ((4,), (1122, 0)),
-    ((2, 2), (2244, 0)),
-    ((6,), (7885, 0)),
-    pytest.param((8,), (26404, 0), marks=pytest.mark.slow),
-    pytest.param((2, 4), (66256, 302), marks=pytest.mark.slow),
+    ((4,), 1122),
+    ((2, 2), 2244),
+    ((6,), 7885),
+    pytest.param((8,), 26404, marks=pytest.mark.slow),
+    pytest.param((2, 4), 66256, marks=pytest.mark.slow),
 ], ids=["Z4", "Z2xZ2", "Z6", "Z8", "Z2xZ4"])
 def test_identity_spaces_agree_across_isomorphism_classes(orders, expected):
     """Graded-isomorphic presentations have the same graded identities, so
@@ -583,8 +583,8 @@ def test_identity_spaces_agree_across_isomorphism_classes(orders, expected):
     identity space, vector for vector, at every sorted multidegree of
     length <= 3.  Values are compared, not printed forms: a kernel
     coefficient keeps the conductor of the arithmetic that produced it,
-    which can differ across a class.  Expected: (member-representative
-    space pairs, pairs equal in value whose conductors differ)."""
+    which can differ across a class.  Expected: the number of
+    member-representative space pairs."""
     group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in orders])
     degrees = [d for length in (1, 2, 3) for d in
                combinations_with_replacement(group.elements(), length)]
@@ -594,7 +594,7 @@ def test_identity_spaces_agree_across_isomorphism_classes(orders, expected):
         if p is not rep:
             members.append((p, rep))
     spaces = {}
-    pairs = relabelled = 0
+    pairs = 0
     for p, rep in members:
         for d in degrees:
             if (id(rep), d) not in spaces:
@@ -604,6 +604,4 @@ def test_identity_spaces_agree_across_isomorphism_classes(orders, expected):
             assert all(x == y for u, v in zip(got, want)
                        for x, y in zip(u, v))
             pairs += 1
-            relabelled += any(x.conductor != y.conductor for u, v in
-                              zip(got, want) for x, y in zip(u, v))
-    assert (pairs, relabelled) == expected
+    assert pairs == expected
