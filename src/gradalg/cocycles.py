@@ -5,9 +5,9 @@ bicharacter and its radical, multiplicative coboundary solving through integer
 exponent systems, and the minimal irreducible representation of an abelian
 twisted group algebra, whose matrices are monomial and stored as such.
 
-Each fact is checked once: a table becomes a `Cocycle` through
-`verify_and_normalize` (or is the constant table of `Cocycle.trivial`), so
-its bicharacter is built unchecked, and `smallest_irrep` builds just one.
+Each fact is checked once: every `Cocycle` meets the cocycle identity (see
+`_cocycle`), so its bicharacter is built unchecked, and `smallest_irrep`
+builds just one.
 """
 
 from __future__ import annotations
@@ -25,21 +25,37 @@ ONE = CyclotomicScalar.one()
 ZERO = CyclotomicScalar.zero()
 
 
+def _cocycle(subgroup: Subgroup, values: dict) -> Cocycle:
+    """A Cocycle holding `values` itself, unchecked: the one path that
+    skips the check.
+
+    Every Cocycle's table has root-of-unity values, meets the identity
+    alpha(u,v) alpha(uv,w) = alpha(u,vw) alpha(v,w) at every triple, and
+    has alpha(e,e) = 1, hence alpha(e,.) = alpha(.,e) = 1.  The callers:
+    `verify_and_normalize`, which has just checked the table (normalizing
+    by a constant keeps the identity and the bicharacter), and
+    `Cocycle.trivial`, whose table is constant 1.
+    """
+    alpha = Cocycle.__new__(Cocycle)
+    alpha.subgroup = subgroup
+    alpha.values = values
+    return alpha
+
+
 class Cocycle:
     """A normalized 2-cocycle on a subgroup, as a full value table.
 
-    The public constructor validates the table and stores it normalized,
-    as `verify_and_normalize` returns it."""
+    The constructor checks the table and stores it normalized, as
+    `verify_and_normalize` returns it."""
 
-    def __init__(self, subgroup: Subgroup, values: dict, _validate: bool = True):
+    def __init__(self, subgroup: Subgroup, values: dict):
         self.subgroup = subgroup
-        self.values = (Cocycle.verify_and_normalize(subgroup, values).values
-                       if _validate else dict(values))
+        self.values = Cocycle.verify_and_normalize(subgroup, values).values
 
     @classmethod
     def trivial(cls, subgroup: Subgroup) -> Cocycle:
-        values = {(a, b): ONE for a in subgroup for b in subgroup}
-        return cls(subgroup, values, _validate=False)
+        return _cocycle(subgroup, {(a, b): ONE for a in subgroup
+                                   for b in subgroup})
 
     @classmethod
     def verify_and_normalize(cls, subgroup: Subgroup, values: dict) -> Cocycle:
@@ -66,7 +82,7 @@ class Cocycle:
         if not scale.is_one():
             inv = scale.inverse()
             vals = {k: v * inv for k, v in vals.items()}
-        return cls(subgroup, vals, _validate=False)
+        return _cocycle(subgroup, vals)
 
     def value(self, a: int, b: int) -> CyclotomicScalar:
         try:
@@ -182,10 +198,8 @@ class Bicharacter:
         ab = ba, U_a U_b = beta(a,b) U_b U_a.  So U_a (U_b U_c) =
         beta(a,b) beta(a,c) U_b U_c U_a, that is beta(a,bc) =
         beta(a,b) beta(a,c), and the first argument follows by alternation.
-        Every `Cocycle` but the constant one of `Cocycle.trivial` has passed
-        `verify_and_normalize`, which checks the identity at every triple
-        (normalizing by a constant keeps it and beta), so none is checked
-        here.
+        Every `Cocycle` meets the identity (see `_cocycle`), so none is
+        checked here.
         """
         sub = alpha.subgroup
         if not sub.is_abelian():
@@ -323,7 +337,7 @@ def smallest_irrep(gamma: Cocycle) -> IrrepData:
     """
     sub = gamma.subgroup
     group = sub.parent
-    beta = gamma.bicharacter()
+    beta = Bicharacter.from_cocycle(gamma)
     iso = set(beta.radical.members)
     for x in sub:
         if x in iso:

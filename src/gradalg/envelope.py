@@ -1,11 +1,11 @@
 """Degreewise tensor envelopes and the cocycle-twist of a presentation.
 
 The degreewise envelope of two graded algebras keeps only the matching-degree
-part of the tensor product; `genvelope` returns its carrier, whose component
-dimensions hold by construction and are not counted again.  Twisting by a
-2-cocycle has an explicit presentation-level normal form for presentations
-of graded-simple algebras, realized here together with the isomorphism onto
-it.
+part of the tensor product; `EnvelopeCarrier` is its carrier, whose
+component dimensions hold by construction and are not counted again.
+Twisting by a 2-cocycle has an explicit presentation-level normal form for
+presentations of graded-simple algebras, realized here together with the
+isomorphism onto it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,13 @@ from .identities import MultilinearPoly
 
 
 class EnvelopeCarrier(_AlgebraBase):
-    """Basis pairs of equal degree with componentwise products."""
+    """The graded algebra with components A_g tensor B_g: basis pairs of
+    equal degree with componentwise products.
+
+    Its component of degree g has dimension dim A_g * dim B_g by
+    construction: its keys are exactly the pairs of a degree-g key of each
+    operand.
+    """
 
     def __init__(self, left, right):
         if left.group is not right.group:
@@ -47,16 +53,6 @@ class EnvelopeCarrier(_AlgebraBase):
             for kb, vb in rb.items():
                 out[(ka, kb)] = va * vb
         return out
-
-
-def genvelope(left, right) -> EnvelopeCarrier:
-    """The graded algebra with components A_g tensor B_g, as its carrier.
-
-    Its component of degree g has dimension dim A_g * dim B_g by
-    construction: its keys are exactly the pairs of a degree-g key of each
-    operand.
-    """
-    return EnvelopeCarrier(left, right)
 
 
 class AlphaEnvelope:
@@ -119,8 +115,9 @@ def round_trip_iso(b: GradedPresentation, alpha: Cocycle):
     Returns (outer carrier, hom onto b); the hom is certified by the caller's
     tests, construction itself is scalar-free.
     """
-    forward = genvelope(GradedPresentation.twisted_group_algebra(alpha), b)
-    carrier = genvelope(
+    forward = EnvelopeCarrier(
+        GradedPresentation.twisted_group_algebra(alpha), b)
+    carrier = EnvelopeCarrier(
         GradedPresentation.twisted_group_algebra(alpha.inverse()), forward)
     images = {}
     for key in carrier.basis_keys():

@@ -140,10 +140,9 @@ class GradedPresentation(_AlgebraBase):
     The product is associative exactly when alpha satisfies the 2-cocycle
     identity: both bracketings of (g,i,j)(h,j,k)(m,k,l) land on
     (ghm, i, l), with coefficients alpha(g,h) alpha(gh,m) and
-    alpha(h,m) alpha(g,hm).  Every Cocycle other than the constant trivial
-    one has passed Cocycle.verify_and_normalize (from_json included), which
-    checks that identity on all |H|^3 triples, so the presentation needs no
-    associativity check of its own.
+    alpha(h,m) alpha(g,hm).  Every Cocycle meets that identity (see
+    cocycles._cocycle), so the presentation needs no associativity check
+    of its own.
     """
 
     def __init__(self, group: FiniteGroup, h_sub: Subgroup, alpha: Cocycle,

@@ -15,34 +15,40 @@ from .errors import (ElementOutsideGroup, MismatchedParent, NotAGroup,
 class FiniteGroup:
     """A finite group given by its multiplication table."""
 
-    def __init__(self, table, name: str = "G", _spec=None,
-                 _validate: bool = True):
+    def __init__(self, table, name: str = "G"):
+        self._keep(table, name, None)
+
+    def _keep(self, table, name: str, spec: dict | None) -> FiniteGroup:
+        """Every FiniteGroup's table is a group table.  With no `spec` the
+        table is checked (_validate).  `cyclic` and `product` write a cyclic
+        table and a direct product of group tables and build through here
+        with `spec`, the normalized specification group_to_json writes back
+        (a cyclic order or a flat product of cyclic and table
+        specifications): the one path that skips the check."""
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.name = name
-        # the normalized specification group_to_json writes back: a cyclic
-        # order, a flat product of cyclic and table specifications, or, by
-        # default, this table and name
-        self._spec = _spec or {"kind": "table", "table": self.table,
-                               "name": name}
+        if spec is None:
+            self._validate()
+            spec = {"kind": "table", "table": self.table, "name": name}
+        self._spec = spec
         self._subgroups: dict[frozenset, Subgroup] = {}
         # (subgroup, within) -> GTuple, filled by Subgroup.transversal
         self._transversals: dict[tuple, GTuple] = {}
-        if _validate:
-            self._validate()
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
         self.abelian = all(self.table[a][b] == self.table[b][a]
                            for a in range(self.order)
                            for b in range(a + 1, self.order))
+        return self
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def cyclic(cls, n: int) -> FiniteGroup:
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return cls(table, name=f"Z{n}", _spec={"kind": "cyclic", "n": n},
-                   _validate=False)
+        return cls.__new__(cls)._keep(table, f"Z{n}",
+                                      {"kind": "cyclic", "n": n})
 
     @classmethod
     def product(cls, factors: list[FiniteGroup]) -> FiniteGroup:
@@ -84,15 +90,14 @@ class FiniteGroup:
                         else (spec,))
         spec = flat[0] if len(flat) == 1 else {"kind": "product",
                                                "factors": tuple(flat)}
-        return cls(table, name=name, _spec=spec, _validate=False)
-
-    @classmethod
-    def from_table(cls, table, name: str = "G") -> FiniteGroup:
-        return cls(table, name=name)
+        return cls.__new__(cls)._keep(table, name, spec)
 
     # -- validation --------------------------------------------------------
 
     def _validate(self):
+        """A Latin square whose product is associative is a group table: a
+        nonempty associative quasigroup is a group (Clifford & Preston, The
+        Algebraic Theory of Semigroups, vol. I, section 1.2)."""
         n = self.order
         idx = set(range(n))
         for i, row in enumerate(self.table):
@@ -114,15 +119,14 @@ class FiniteGroup:
     def _generators(self) -> list[int]:
         """Elements from which right products reach the whole table.
 
-        Light's associativity test (Clifford & Preston, The Algebraic Theory
-        of Semigroups, vol. I, section 1.2): the elements a with
-        (x*a)*y == x*(a*y) for all x, y are closed under the product, so the
-        operation is associative once this holds for every element of a set
-        whose products reach the whole table.  The check is exact and costs
-        n^2 per generator, where all triples cost n^3.  Each element not yet
-        reached becomes a generator; in a group table each new generator at
-        least doubles the reached subgroup, so there are at most
-        1 + log2(n) of them.
+        Light's associativity test (Clifford & Preston, vol. I, section 1.2):
+        the elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+        the product, so the operation is associative once this holds for
+        every element of a set whose products reach the whole table.  The
+        check is exact and costs n^2 per generator, where all triples cost
+        n^3.  Each element not yet reached becomes a generator; in a group
+        table each new generator at least doubles the reached subgroup, so
+        there are at most 1 + log2(n) of them.
         """
         gens: list[int] = []
         reached: set = set()
@@ -135,10 +139,7 @@ class FiniteGroup:
     def _find_identity(self) -> int:
         """The table's one idempotent, x*x == x.
 
-        A table that passes _validate is a Latin square whose product is
-        associative, and a nonempty associative quasigroup is a group
-        (Clifford & Preston, vol. I, section 1.2); `cyclic` and `product`
-        write group tables directly.  In a group x*x == x gives
+        The table is a group table (see _keep), where x*x == x gives
         x == e by cancelling x, so the identity is the one idempotent, and
         a*b == e gives b*a == e.  An empty table has no idempotent.
         """
@@ -157,9 +158,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
@@ -170,9 +168,13 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def check_element(self, a: int):
-        if not (0 <= a < self.order):
-            raise ElementOutsideGroup(f"{a} outside group of order {self.order}")
+    def check_element(self, a: int) -> int:
+        """a, if it is an element: an int (not a bool) from 0 to order - 1.
+        Nothing is coerced, so 1.0, True and "1" are refused."""
+        if type(a) is not int or not 0 <= a < self.order:
+            raise ElementOutsideGroup(
+                f"{a!r} outside group of order {self.order}")
+        return a
 
     # -- subgroups --------------------------------------------------------
 
@@ -229,12 +231,14 @@ def _reach(table, start, gens) -> set:
 class Subgroup:
     """A subgroup of a FiniteGroup, stored as its member set.
 
-    Subgroup(parent, elements) returns the parent's one object for that
-    member set, checked when the set is first seen; a set that fails the
-    check is not kept."""
+    Subgroup(parent, elements) checks each element (check_element) and
+    returns the parent's one object for that member set, whose closure is
+    checked when the set is first seen; a set that fails the check is not
+    kept."""
 
     def __new__(cls, parent: FiniteGroup, elements):
-        members = frozenset(map(int, elements))
+        # each element is checked before the lookup: 0.0 == 0 as a set member
+        members = frozenset(map(parent.check_element, elements))
         sub = parent._subgroups.get(members)
         if sub is None:
             sub = super().__new__(cls)
@@ -247,8 +251,6 @@ class Subgroup:
 
     def _validate(self):
         g = self.parent
-        for x in self.members:
-            g.check_element(x)
         if g.identity not in self.members:
             raise NotSubgroup("missing identity")
         for a in self.members:
@@ -309,10 +311,10 @@ class Subgroup:
         t = self.parent.table
         return min(t[h][x] for h in self.members)
 
-    def transversal(self, within: Subgroup | None = None) -> GTuple:
+    def transversal(self, within: Subgroup) -> GTuple:
         """Canonical transversal: minimal representative of each right coset
-        H*x for x in `within` (default: the whole group), the identity's
-        coset first and the rest ascending by representative.
+        H*x for x in `within`, the identity's coset first and the rest
+        ascending by representative.
 
         Remembered on the group: a GTuple is immutable, and the group has
         one Subgroup object per member set, so each decision over the same
@@ -320,12 +322,10 @@ class Subgroup:
         cache = self.parent._transversals
         tr = cache.get((self, within))
         if tr is None:
-            if within is not None and not within.contains_subgroup(self):
+            if not within.contains_subgroup(self):
                 raise NotSubgroup("cosets requested inside a non-superset")
-            ambient = within.sorted_members if within is not None else \
-                range(self.parent.order)
             first = self.coset_rep(self.parent.identity)
-            reps = {self.coset_rep(x) for x in ambient}
+            reps = {self.coset_rep(x) for x in within.sorted_members}
             tr = GTuple(self.parent,
                         sorted(reps, key=lambda r: (r != first, r)))
             cache[(self, within)] = tr
@@ -338,11 +338,9 @@ class GTuple:
     __slots__ = ("group", "entries")
 
     def __init__(self, group: FiniteGroup, entries):
-        entries = tuple(int(x) for x in entries)
+        entries = tuple(map(group.check_element, entries))
         if not entries:
             raise ValueError("tuple must be nonempty")
-        for x in entries:
-            group.check_element(x)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "entries", entries)
 
@@ -463,7 +461,7 @@ def _build(spec: dict) -> FiniteGroup:
         return FiniteGroup.cyclic(spec["n"])
     if kind == "product":
         return FiniteGroup.product([_build(f) for f in spec["factors"]])
-    return FiniteGroup.from_table(spec["table"], name=spec.get("name", "G"))
+    return FiniteGroup(spec["table"], name=spec.get("name", "G"))
 
 
 def group_to_json(group: FiniteGroup) -> dict:

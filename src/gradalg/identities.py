@@ -124,10 +124,6 @@ class MultilinearPoly:
             acc = t[acc][self.degrees[v]]
         return acc
 
-    def scale(self, c: CyclotomicScalar) -> MultilinearPoly:
-        return MultilinearPoly(self.group, self.degrees,
-                               {w: c * v for w, v in self.coeffs.items()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

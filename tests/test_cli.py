@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from gradalg import cli, linalg, scalars
 from gradalg.cli import main, parse_doc
 from gradalg.corpus import ambient_groups, generate_corpus, run_corpus
+from gradalg.embed import decide
 from gradalg.errors import ValidationError
 from gradalg.groups import (MAX_CONDUCTOR, MAX_GROUP_ORDER, FiniteGroup,
-                            build_group, dihedral_table)
+                            build_group, dihedral_table, group_to_json)
 from gradalg.identities import MAX_MULTIDEGREE_LEN
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -749,7 +750,10 @@ def test_reports_are_deterministic():
     assert first.stdout.strip().startswith("{")
 
 
-def test_construct_then_verify_round_trip(tmp_path):
+def test_construct_then_verify_round_trip(tmp_path, capsys):
+    """verify re-certifies a construct report, and the map it reads back
+    writes the report's `hom` again, for the three fixtures and the first
+    true instances of the seeded corpus."""
     fixture = str(FIXTURES / "klein_twisted.json")
     built = run_cli(["construct", fixture, "--a", "A", "--b", "B2"])
     assert built.returncode == 0
@@ -760,6 +764,24 @@ def test_construct_then_verify_round_trip(tmp_path):
     verified = run_cli(["verify", str(report_path)])
     assert verified.returncode == 0
     assert json.loads(verified.stdout)["certificate"] == report["certificate"]
+
+    requests = [(str(FIXTURES / name), a, b) for name, a, b in (
+        ("klein_twisted.json", "A", "B2"),
+        ("dihedral_regular.json", "A", "Breg"),
+        ("zmod10_block_sum.json", "A1", "B"))]
+    true = [inst for inst in generate_corpus(20250809, 6, 40)
+            if decide(inst.a, inst.b).verdict][:8]
+    assert len(true) == 8
+    for inst in true:
+        path = tmp_path / f"{inst.name}.json"
+        path.write_text(json.dumps({
+            "version": 1, "group": group_to_json(inst.a.group),
+            "presentations": {"A": inst.a.to_json(), "B": inst.b.to_json()}}))
+        requests.append((str(path), "A", "B"))
+    for path, a, b in requests:
+        assert main(["construct", path, "--a", a, "--b", b]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert cli._hom_from_report(report).to_json() == report["hom"]
 
 
 def test_construct_sweeps_once_and_matches_verify(tmp_path, capsys, sweeps):

@@ -6,6 +6,8 @@ import random
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradalg.cocycles import (Bicharacter, Cocycle, abelian_basis,
                               coboundary_solve, element_coordinates,
@@ -364,8 +366,102 @@ def test_class_enumeration_counts(klein):
     assert len(enumerate_cocycle_classes(z5.full_subgroup())) == 1
 
 
-def test_cocycle_json_round_trip(klein):
-    alpha = klein_alpha(klein)
+_ROUND_TRIP_GROUPS = [FiniteGroup.product([FiniteGroup.cyclic(n) for n in f])
+                      for f in ((2, 2), (4,), (6,))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ROUND_TRIP_GROUPS), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_cocycle_json_round_trip(group, index, rng):
+    """Each class on Z2xZ2, Z4 and Z6, twisted by a random coboundary so
+    that its values sit at several conductors: from_json(to_json(alpha)) is
+    alpha, and writing it again gives the same bytes."""
+    sub = group.full_subgroup()
+    classes = enumerate_cocycle_classes(sub)
+    alpha = classes[index % len(classes)].twist_by_coboundary(
+        random_coboundary(sub, rng, max_order=6))
     data = alpha.to_json()
-    rebuilt = Cocycle.from_json(klein, data)
+    rebuilt = Cocycle.from_json(group, data)
     assert rebuilt == alpha
+    assert json.dumps(rebuilt.to_json()) == json.dumps(data)
+
+
+# -- oracles for the checks a derived cocycle could skip ----------------------
+
+def _subgroup_pairs():
+    """(N1, N2) for every ordered pair of subgroups of Z2xZ2, Z4, Z6, Z2xZ4
+    and Z3xZ3."""
+    for factors in ([2, 2], [4], [6], [2, 4], [3, 3]):
+        group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in factors])
+        subs = group.all_subgroups()
+        for n1 in subs:
+            for n2 in subs:
+                yield n1, n2
+
+
+def test_radical_from_two_bicharacters():
+    """For alpha on N1 and beta on N2 and H = N1 & N2, the radical of the
+    ratio alpha|H / beta|H is where the two forms, each built on its own
+    subgroup, agree on H: the h with theta_alpha(h, k) = theta_beta(h, k)
+    for every k in H.  It is the radical smallest_irrep reads, and d^2
+    times its order is |H|."""
+    checked = 0
+    for n1, n2 in _subgroup_pairs():
+        h = n1.intersection(n2)
+        for alpha in enumerate_cocycle_classes(n1):
+            theta_a = Bicharacter.from_cocycle(alpha).values
+            for beta in enumerate_cocycle_classes(n2):
+                theta_b = Bicharacter.from_cocycle(beta).values
+                agree = {x for x in h
+                         if all(theta_a[(x, k)] == theta_b[(x, k)] for k in h)}
+                rep = smallest_irrep(alpha.restrict(h).ratio(beta.restrict(h)))
+                assert rep.radical.members == agree
+                assert rep.dim ** 2 * len(agree) == h.order
+                checked += 1
+    # (sum over subgroups of the class count)^2: Z2xZ2 6^2, Z4 3^2, Z6 4^2,
+    # Z2xZ4 10^2, Z3xZ3 8^2
+    assert checked == 36 + 9 + 16 + 100 + 64
+
+
+def _table_json(sub, value):
+    members = sub.sorted_members
+    return [[value(a, b).to_json() for b in members] for a in members]
+
+
+def test_derived_cocycles_are_their_pointwise_tables():
+    """ratio, product, inverse, restrict and a twist by a coboundary with
+    mu(e) = 1 each give the table computed pointwise here, value and
+    printed conductor alike: normalizing rescales none of them."""
+    rng = random.Random(29)
+    checked = 0
+    for factors in ([2, 2], [4], [6], [2, 4], [3, 3]):
+        group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in factors])
+        t = group.table
+        subs = group.all_subgroups()
+        for sub in subs:
+            classes = enumerate_cocycle_classes(sub)
+            for i, cls in enumerate(classes):
+                alpha = cls.twist_by_coboundary(random_coboundary(sub, rng))
+                beta = classes[(i + 1) % len(classes)].twist_by_coboundary(
+                    random_coboundary(sub, rng))
+                va, vb = alpha.values, beta.values
+                mu = random_coboundary(sub, rng)
+                for derived, value in (
+                        (alpha.ratio(beta),
+                         lambda x, y: va[(x, y)] / vb[(x, y)]),
+                        (alpha.product(beta),
+                         lambda x, y: va[(x, y)] * vb[(x, y)]),
+                        (alpha.inverse(), lambda x, y: va[(x, y)].inverse()),
+                        (alpha.twist_by_coboundary(mu),
+                         lambda x, y: va[(x, y)] * mu[x] * mu[y]
+                         / mu[t[x][y]])):
+                    assert derived.to_json()["values"] == \
+                        _table_json(sub, value)
+                for inner in subs:
+                    if sub.contains_subgroup(inner):
+                        assert alpha.restrict(inner).to_json()["values"] == \
+                            _table_json(inner, lambda x, y: va[(x, y)])
+                checked += 1
+    # classes summed over subgroups: Z2xZ2 6, Z4 3, Z6 4, Z2xZ4 10, Z3xZ3 8
+    assert checked == 31

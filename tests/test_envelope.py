@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from gradalg.cocycles import Cocycle, enumerate_cocycle_classes
-from gradalg.envelope import alpha_envelope, falpha, genvelope, round_trip_iso
+from gradalg.envelope import (EnvelopeCarrier, alpha_envelope, falpha,
+                              round_trip_iso)
 from gradalg.errors import ElementOutsideGroup, MismatchedParent
 from gradalg.galg import GradedHom, GradedPresentation, verify_hom
 from gradalg.groups import GTuple
@@ -15,15 +16,16 @@ from gradalg.scalars import CyclotomicScalar as C
 
 def test_envelope_component_dims(klein, klein_classes):
     """Each component of a carrier, also of a carrier of a carrier, has
-    dimension dim A_g * dim B_g; genvelope does not count this itself."""
+    dimension dim A_g * dim B_g; EnvelopeCarrier does not count this
+    itself."""
     h = klein.subgroup([0, 1])
     for alpha in klein_classes:
         ka = GradedPresentation.twisted_group_algebra(alpha)
         for sub, s in ((klein.full_subgroup(), [0, 2]), (h, [0, 2, 3])):
             b = GradedPresentation(klein, sub, Cocycle.trivial(sub),
                                    GTuple(klein, s))
-            inner = genvelope(ka, b)
-            outer = genvelope(ka, inner)
+            inner = EnvelopeCarrier(ka, b)
+            outer = EnvelopeCarrier(ka, inner)
             for left, right, env in ((ka, b, inner), (ka, inner, outer)):
                 for g in klein.elements():
                     assert len(env.component(g)) == \
@@ -35,14 +37,14 @@ def test_envelope_requires_same_group(klein, z4, klein_classes):
     ka = GradedPresentation.twisted_group_algebra(nt)
     other = GradedPresentation.elementary(z4, GTuple(z4, [0]))
     with pytest.raises(MismatchedParent, match="graded by different groups"):
-        genvelope(ka, other)
+        EnvelopeCarrier(ka, other)
 
 
 def test_twist_against_inverse_is_commutative(klein, klein_classes):
     _, nt = klein_classes
     ka = GradedPresentation.twisted_group_algebra(nt)
     kb = GradedPresentation.twisted_group_algebra(nt.inverse())
-    carrier = genvelope(kb, ka)
+    carrier = EnvelopeCarrier(kb, ka)
     keys = carrier.basis_keys()
     for k1 in keys:
         for k2 in keys:

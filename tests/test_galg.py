@@ -1,12 +1,15 @@
 """Presentations, elements, homomorphism certificates and transforms."""
 
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradalg import linalg
 from gradalg.cli import parse_doc
-from gradalg.cocycles import Cocycle
+from gradalg.cocycles import Cocycle, enumerate_cocycle_classes
 from gradalg.corpus import generate_corpus
 from gradalg.embed import construct, decide
 from gradalg.envelope import alpha_envelope
@@ -14,11 +17,12 @@ from gradalg.errors import MismatchedParent
 from gradalg.galg import (DirectSumAlgebra, GradedHom, GradedPresentation,
                           HomCertificate, StructureAlgebra, sub_presentation,
                           verify_hom)
-from gradalg.groups import GTuple
+from gradalg.groups import FiniteGroup, GTuple
 from gradalg.identities import identity_space
 from gradalg.scalars import CyclotomicScalar as C
 from gradalg.semisimple import SemisimplePresentation, embed_into_power
 
+from conftest import random_coboundary
 from test_cocycles import klein_alpha
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -90,7 +94,7 @@ def _replaced_pair_certifies(p, q, h_1):
     hom = construct(p, q, decide(p, q))
     assert hom.certificate.is_embedding
     e = p.group.identity
-    assert set(hom.images[(e, 0, 1)].terms) == {(p.group.inv(h_1), 0, 1)}
+    assert set(hom.images[(e, 0, 1)].terms) == {(p.group.inverses[h_1], 0, 1)}
     assert construct(q, p, decide(q, p)).certificate.is_embedding
 
 
@@ -116,7 +120,7 @@ def test_homogeneous_invertibility(klein, klein_classes):
     one = ka.one()
     for h in klein.elements():
         uh = ka.basis_element((h, 0, 0))
-        uinv = ka.basis_element((klein.inv(h), 0, 0))
+        uinv = ka.basis_element((klein.inverses[h], 0, 0))
         prod = uh * uinv
         scal = prod.terms[(e, 0, 0)]
         assert uh * uinv.scale(scal.inverse()) == one
@@ -159,12 +163,27 @@ def test_mixed_parent_elements_rejected(z10):
         a.basis_element((0, 0, 0)) * b.basis_element((0, 0, 0))
 
 
-def test_presentation_json_round_trip(klein, klein_classes):
-    _, nt = klein_classes
-    p = GradedPresentation(klein, klein.full_subgroup(), nt,
-                           GTuple(klein, [0, 3]))
-    q = GradedPresentation.from_json(klein, p.to_json())
+_ROUND_TRIP_GROUPS = [FiniteGroup.product([FiniteGroup.cyclic(2)] * 2),
+                      FiniteGroup.cyclic(4), FiniteGroup.cyclic(6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_presentation_json_round_trip(data):
+    """A presentation (N, alpha, s) over Z2xZ2, Z4 or Z6, its cocycle a
+    class on N twisted by a random coboundary: from_json(to_json(p)) has
+    p's data, and writing it again gives the same bytes."""
+    group = data.draw(st.sampled_from(_ROUND_TRIP_GROUPS))
+    sub = data.draw(st.sampled_from(group.all_subgroups()))
+    alpha = data.draw(st.sampled_from(enumerate_cocycle_classes(sub)))
+    alpha = alpha.twist_by_coboundary(random_coboundary(
+        sub, data.draw(st.randoms(use_true_random=False))))
+    s = data.draw(st.lists(st.sampled_from(list(group.elements())),
+                           min_size=1, max_size=4))
+    p = GradedPresentation(group, sub, alpha, GTuple(group, s))
+    q = GradedPresentation.from_json(group, p.to_json())
     assert p.same_data(q)
+    assert json.dumps(q.to_json()) == json.dumps(p.to_json())
 
 
 def _components_by_filter(p):

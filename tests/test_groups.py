@@ -4,9 +4,12 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradalg.cocycles import Cocycle
-from gradalg.errors import MismatchedParent, NotAGroup, NotSubgroup
+from gradalg.errors import (ElementOutsideGroup, MismatchedParent, NotAGroup,
+                            NotSubgroup)
 from gradalg.galg import GradedPresentation
 from gradalg.groups import (MAX_GROUP_ORDER, FiniteGroup, GTuple, Subgroup,
                             build_group, dihedral_table, group_to_json)
@@ -25,7 +28,7 @@ def s3_table():
 
 def test_cyclic_inverse():
     z4 = FiniteGroup.cyclic(4)
-    assert z4.inv(1) == 3
+    assert z4.inverses[1] == 3
     assert z4.identity == 0
 
 
@@ -83,7 +86,7 @@ def test_group_order_is_bounded(monkeypatch):
     # refused from the specification alone, before any table is built
     monkeypatch.setattr(FiniteGroup, "cyclic", no_table)
     monkeypatch.setattr(FiniteGroup, "product", no_table)
-    monkeypatch.setattr(FiniteGroup, "from_table", no_table)
+    monkeypatch.setattr(FiniteGroup, "__init__", no_table)
     cyclic = {"kind": "cyclic", "n": 16}
     for spec in ({"kind": "cyclic", "n": 257},
                  {"kind": "product",
@@ -97,7 +100,7 @@ def test_group_order_is_bounded(monkeypatch):
 def test_cosets_and_transversal(z4):
     h = z4.subgroup([0, 2])
     assert [h.coset_rep(x) for x in range(4)] == [0, 1, 0, 1]
-    assert h.transversal().entries == (0, 1)
+    assert h.transversal(within=z4.full_subgroup()).entries == (0, 1)
 
 
 def test_product_subgroup_generates(z10):
@@ -133,6 +136,25 @@ def test_subgroup_validation(z4):
         Subgroup(z4, [0, 1])  # not closed
     with pytest.raises(NotSubgroup):
         Subgroup(z4, [1, 3])  # missing identity
+    # an element is an int, not a bool, in range: nothing else is read as
+    # one where int() would (1.7 -> 1, True -> 1, "3" -> 3), also for a
+    # member set already held (0.0 == 0 in a frozenset)
+    half = Subgroup(z4, [0, 2])
+    for bad in ([0.9, 2.2], [0.0, 2.0], [0, True], ["0", "2"]):
+        with pytest.raises(ElementOutsideGroup):
+            Subgroup(z4, bad)
+    for entries in ([1.7], [True], ["3"], [1.7, True, "3"]):
+        with pytest.raises(ElementOutsideGroup):
+            GTuple(z4, entries)
+    for gens in ([1.0], [False], ["1"]):
+        with pytest.raises(ElementOutsideGroup):
+            z4.closure(gens)
+    with pytest.raises(ElementOutsideGroup):
+        GTuple(z4, [1]).shift(2.0)
+    entries = GTuple(z4, [1, 3]).entries
+    assert entries == (1, 3) and all(type(x) is int for x in entries)
+    assert Subgroup(z4, (x for x in [2, 0])) is half
+    assert all(type(x) is int for x in half.members)
 
 
 def test_one_checked_subgroup_per_member_set(z4):
@@ -143,7 +165,7 @@ def test_one_checked_subgroup_per_member_set(z4):
         with pytest.raises(NotSubgroup, match="missing inverse of 1"):
             Subgroup(z4, [0, 1])
     with pytest.raises(NotAGroup, match="no two-sided identity"):
-        FiniteGroup.from_table([])
+        FiniteGroup([])
 
 
 def test_mismatched_parents(z4, z10):
@@ -169,24 +191,45 @@ _D3 = {"kind": "table", "table": dihedral_table(3), "name": "D3"}
 _Z2, _Z3 = {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}
 
 
-def test_group_json_round_trip(klein):
+def _order(spec) -> int:
+    if spec["kind"] == "cyclic":
+        return spec["n"]
+    if spec["kind"] == "table":
+        return len(spec["table"])
+    order = 1
+    for f in spec["factors"]:
+        order *= _order(f)
+    return order
+
+
+_GROUP_SPECS = st.recursive(
+    st.integers(1, 5).map(lambda n: {"kind": "cyclic", "n": n})
+    | st.sampled_from([_D3, {"kind": "table", "table": s3_table()},
+                       {"kind": "table", "table": [[0, 1], [1, 0]],
+                        "name": "C2"}]),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda factors: {"kind": "product", "factors": factors}),
+    max_leaves=4).filter(lambda spec: _order(spec) <= 72)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_GROUP_SPECS)
+@example({"kind": "product", "factors": [_D3, _Z2]})
+@example({"kind": "product", "factors": [_D3]})
+@example({"kind": "product", "factors": [
+    {"kind": "product", "factors": [_Z2, _D3]}, _Z3]})
+@example({"kind": "table", "table": dihedral_table(4), "name": "D4"})
+def test_group_json_round_trip(spec):
     """A group is written back as the specification it was built from, so
-    the rebuilt table is the input's and a second write gives the same
-    bytes; the written dict is the caller's own."""
-    specs = [group_to_json(klein),
-             {"kind": "product", "factors": [_D3, _Z2]},
-             {"kind": "product", "factors": [_D3]},
-             {"kind": "product", "factors": [
-                 {"kind": "product", "factors": [_Z2, _D3]}, _Z3]},
-             {"kind": "table", "table": dihedral_table(4), "name": "D4"}]
-    for spec in specs:
-        group = build_group(spec)
-        written = group_to_json(group)
-        rebuilt = build_group(written)
-        assert rebuilt.table == group.table
-        assert json.dumps(group_to_json(rebuilt)) == json.dumps(written)
-        written["kind"] = "cyclic"
-        assert group_to_json(group) == group_to_json(rebuilt)
+    the rebuilt group has the input's table and name and a second write
+    gives the same bytes; the written dict is the caller's own."""
+    group = build_group(spec)
+    written = group_to_json(group)
+    rebuilt = build_group(written)
+    assert (rebuilt.table, rebuilt.name) == (group.table, group.name)
+    assert json.dumps(group_to_json(rebuilt)) == json.dumps(written)
+    written["kind"] = "cyclic"
+    assert group_to_json(group) == group_to_json(rebuilt)
 
 
 def test_products_are_written_flat_and_one_factor_as_itself():

@@ -13,6 +13,7 @@ import pytest
 
 from gradalg import corpus, linalg
 from gradalg.cocycles import Cocycle
+from gradalg.embed import decide
 from gradalg.errors import (BudgetExceeded, DecisionWasTrue, LengthMismatch,
                             NotFoundWithinBudget, ValidationError)
 from gradalg.galg import DirectSumAlgebra, GradedPresentation, verify_hom
@@ -24,7 +25,7 @@ from gradalg.identities import (MAX_MULTIDEGREE_LEN, MultilinearPoly,
                                 separate_part1, standard_poly)
 from gradalg.scalars import CyclotomicScalar as C
 
-from conftest import class_key, small_presentations
+from conftest import class_key, class_representatives, small_presentations
 
 Z1 = FiniteGroup.cyclic(1)
 
@@ -399,7 +400,9 @@ def test_is_identity_shortcuts_match_full_enumeration(klein, klein_classes,
                 else:
                     path = "full"
                 # a unit other than 1 too, except at length 4 (for time)
-                polys = [st] if length > 3 else [st, st.scale(zeta)]
+                polys = [st] if length > 3 else [st, MultilinearPoly(
+                    st.group, st.degrees,
+                    {w: zeta * c for w, c in st.coeffs.items()})]
                 for poly in polys:
                     check = is_identity(poly, algebra)
                     vanishes = all(_value(poly, algebra, keys).is_zero()
@@ -605,3 +608,24 @@ def test_identity_spaces_agree_across_isomorphism_classes(orders, expected):
                        for x, y in zip(u, v))
             pairs += 1
     assert pairs == expected
+
+
+@pytest.mark.parametrize("orders, expected", [
+    ((4,), 32),
+    ((2, 2), 104),
+    ((6,), 53),
+    pytest.param((8,), 68, marks=pytest.mark.slow),
+    pytest.param((2, 4), 296, marks=pytest.mark.slow),
+], ids=["Z4", "Z2xZ2", "Z6", "Z8", "Z2xZ4"])
+def test_true_class_pairs_keep_the_identity_inclusion(orders, expected):
+    """A graded embedding of A into B makes A a graded subalgebra of B, so
+    every graded identity of B is one of A.  Over every ordered pair of
+    class representatives (see class_key) whose decision is true, the
+    bounded inclusion Id(B) <= Id(A) holds to length 3.  Expected: the
+    number of true pairs."""
+    group = FiniteGroup.product([FiniteGroup.cyclic(n) for n in orders])
+    classes = class_representatives(group)
+    true = [(a, b) for a in classes for b in classes if decide(a, b).verdict]
+    for a, b in true:
+        assert inclusion_bounded(b, a, 3).holds
+    assert len(true) == expected

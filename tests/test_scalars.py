@@ -1,10 +1,11 @@
 """Cyclotomic scalar arithmetic, rebasing and root-of-unity handling."""
 
+import json
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradalg.errors import (ConductorTooLarge, DivisionByZero, NotRootOfUnity,
                             Unsupported)
@@ -151,12 +152,21 @@ def test_rebase_is_field_homomorphism():
             assert a == b
 
 
-def test_serialization_round_trip():
-    a = C.zeta(12, 7) + C.from_rational(Fraction(-3, 7))
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda m: st.builds(
+    C, st.just(m), st.lists(st.builds(Fraction, st.integers(-10**20, 10**20),
+                                      st.integers(1, 10**6)),
+                            min_size=euler_phi(m), max_size=euler_phi(m)))))
+@example(C.zeta(12, 7) + C.from_rational(Fraction(-3, 7)))
+def test_serialization_round_trip(a):
+    """from_json(to_json(a)) is a, conductor included, and writing it
+    again gives the same bytes; every coordinate is written as strings."""
     data = a.to_json()
-    assert data["conductor"] == 12
+    assert data["conductor"] == a.conductor
     assert all(isinstance(p, str) for pair in data["coeffs"] for p in pair)
-    assert C.from_json(data) == a
+    back = C.from_json(data)
+    assert back == a and back.conductor == a.conductor
+    assert json.dumps(back.to_json()) == json.dumps(data)
 
 
 # -- the reference route: long division and extended Euclid over Fractions ----
