@@ -5,7 +5,8 @@ group algebra tensored with a matrix algebra carrying an elementary grading.
 Structure-constant algebras and direct sums (DirectSumAlgebra, the one
 direct-sum type) implement the same small protocol (dim, basis_keys,
 basis_degree, mul_basis, component, generating_keys) so that envelopes,
-identity sweeps and homomorphism checks work uniformly.
+identity sweeps and homomorphism checks work uniformly; mul_basis gives
+nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -387,17 +388,23 @@ class GradedHom:
         self.target = target
         self.images = images
         self.certificate = None
-        missing = [k for k in source.basis_keys() if k not in images]
+        keys = source.basis_keys()
+        missing = [k for k in keys if k not in images]
         if missing:
             raise ValueError(f"missing image for basis key {missing[0]}")
+        if len(images) != len(keys):
+            extra = next(k for k in images if k not in keys)
+            raise ValueError(f"image for {extra}, not a source basis key")
+        if any(img.parent is not target for img in images.values()):
+            raise MismatchedParent("image not in the target algebra")
 
     def apply(self, element: AlgebraElement) -> AlgebraElement:
         if element.parent is not self.source:
             raise MismatchedParent("element not in the source algebra")
-        out = self.target.zero()
+        out: dict = {}
         for k, v in element.terms.items():
-            out = out + self.images[k].scale(v)
-        return out
+            _add_scaled(out, self.images[k].terms, v)
+        return AlgebraElement(self.target, out)
 
     def to_json(self):
         return {"images": [{"key": list(k) if isinstance(k, tuple) else k,
@@ -409,18 +416,36 @@ class GradedHom:
                                                 key=lambda t: str(t[0]))]}
 
 
+def _add_scaled(out: dict, terms: dict, c) -> None:
+    """out += c * terms (c != 0), the steps of AlgebraElement's `scale` and
+    `+`: a sum that cancels is dropped."""
+    for k, v in terms.items():
+        acc = c * v
+        if k in out:
+            acc = out[k] + acc
+            if acc.is_zero():
+                del out[k]
+                continue
+        out[k] = acc
+
+
 def _product_failures(hom: GradedHom, left, right) -> list:
     """The pairs (x, y), x in `left` and y in `right`, at which
     hom(x y) != hom(x) hom(y)."""
-    src, images = hom.source, hom.images
+    images, src_mul, tgt_mul = (hom.images, hom.source.mul_basis,
+                                hom.target.mul_basis)
     failures = []
     for k1 in left:
-        img1 = images[k1]
+        t1 = images[k1].terms.items()
         for k2 in right:
-            lhs = hom.target.zero()
-            for k, v in src.mul_basis(k1, k2).items():
-                lhs = lhs + images[k].scale(v)
-            if lhs != img1 * images[k2]:
+            lhs, rhs = {}, {}
+            for k, v in src_mul(k1, k2).items():
+                _add_scaled(lhs, images[k].terms, v)
+            for a, x in t1:
+                for b, y in images[k2].terms.items():
+                    if prod := tgt_mul(a, b):
+                        _add_scaled(rhs, prod, x * y)
+            if lhs != rhs:
                 failures.append(("multiplicative", k1, k2))
     return failures
 
@@ -440,6 +465,13 @@ def verify_hom(hom: GradedHom) -> HomCertificate:
     associativity of the target phi(x y) = phi(x) phi(y).  If any
     generator pair fails, every pair is swept, so `failures` lists every
     failing pair of basis keys, in basis order.
+
+    Each pair is compared on term dicts, taking AlgebraElement's scalar
+    products in its order but x*y only for a nonzero target product.  Terms
+    and mul_basis values are nonzero and sums that cancel are dropped, so
+    the dicts are equal (exact scalar `==`) exactly when the elements are.
+    These are a subset of the element route's operations, so the kernel
+    raises ConductorTooLarge only where that route would.
 
     Injectivity is the rank of the image rows.  When the map is graded, the
     images of degree-g keys lie in tgt.component(g), so the rows form

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradalg import linalg
+from gradalg import galg, linalg
 from gradalg.cli import parse_doc
 from gradalg.cocycles import Cocycle, enumerate_cocycle_classes
 from gradalg.corpus import generate_corpus
@@ -161,6 +161,25 @@ def test_mixed_parent_elements_rejected(z10):
     b = GradedPresentation.elementary(z10, GTuple(z10, [0, 1]))
     with pytest.raises(MismatchedParent):
         a.basis_element((0, 0, 0)) * b.basis_element((0, 0, 0))
+
+
+def test_hom_refuses_an_image_in_another_algebra(z10):
+    a = GradedPresentation.elementary(z10, GTuple(z10, [0, 1]))
+    b = GradedPresentation.elementary(z10, GTuple(z10, [0, 1]))
+    images = {k: a.basis_element(k) for k in a.basis_keys()}
+    images[(0, 1, 0)] = b.basis_element((0, 1, 0))
+    with pytest.raises(MismatchedParent):
+        GradedHom(a, a, images)
+
+
+def test_hom_refuses_an_image_key_outside_the_source(z10):
+    a = GradedPresentation.elementary(z10, GTuple(z10, [0, 1]))
+    images = {k: a.basis_element(k) for k in a.basis_keys()}
+    with pytest.raises(ValueError, match="not a source basis key"):
+        GradedHom(a, a, {**images, (0, 2, 0): a.zero()})
+    del images[(0, 1, 1)]
+    with pytest.raises(ValueError, match="missing image"):
+        GradedHom(a, a, images)
 
 
 _ROUND_TRIP_GROUPS = [FiniteGroup.product([FiniteGroup.cyclic(2)] * 2),
@@ -356,3 +375,106 @@ def test_passing_map_sweeps_generators_times_basis(monkeypatch):
     monkeypatch.setattr(a, "mul_basis", counted)
     assert verify_hom(hom).is_embedding
     assert len(calls) == len(a.generating_keys()) * a.dim < a.dim ** 2
+
+
+# -- the term-dict product kernel against AlgebraElement arithmetic -------------
+
+
+def _element_route_failures(hom, left, right):
+    """The pairs at which phi(x y) != phi(x) phi(y), through AlgebraElement
+    `scale`, `+`, `*` and `!=`: the slow route of galg._product_failures."""
+    src, images = hom.source, hom.images
+    failures = []
+    for k1 in left:
+        for k2 in right:
+            lhs = hom.target.zero()
+            for k, v in src.mul_basis(k1, k2).items():
+                lhs = lhs + images[k].scale(v)
+            if lhs != images[k1] * images[k2]:
+                failures.append(("multiplicative", k1, k2))
+    return failures
+
+
+def _with(hom, changes):
+    return GradedHom(hom.source, hom.target, {**hom.images, **changes})
+
+
+def _kernel_stress(hom):
+    """Perturbations aimed at the kernel's shortcuts: a zeta_3 coefficient
+    in a map at conductor 4; with matrix units E_ij, a pair whose source
+    product is zero and whose target product (E00 - E01)(E00 + E10) cancels
+    as it accumulates, and a source product E01 E01 = 0 sent to the nonzero
+    E00 E00."""
+    keys, images = list(hom.source.basis_keys()), hom.images
+    zeta3 = C.zeta(3, 1)
+    first, last = keys[0], keys[-1]
+    yield _with(hom, {last: images[last].scale(zeta3)})
+    yield _with(hom, {first: images[first] + images[last].scale(zeta3)})
+    if getattr(hom.source, "r", 1) > 1:
+        e = hom.source.group.identity
+        unit = {(i, j): (e, i, j) for i in range(2) for j in range(2)}
+        img = {ij: images[k] for ij, k in unit.items()}
+        yield _with(hom, {unit[0, 0]: img[0, 0] - img[0, 1],
+                          unit[1, 0]: img[1, 0] + img[0, 0]})
+        yield _with(hom, {unit[0, 1]: img[0, 0]})
+
+
+def _cancelling_map():
+    """A map out of a structure algebra with several terms per basis
+    product, into M_2: phi(x0 x0) = phi(x0) - phi(x1) + zeta_3 phi(x2)
+    cancels at E00 and then adds to it again, phi(x1 x2) cancels to 0, and
+    phi(x0) phi(x1) = (E00 - E01)(E00 + E10) cancels against the zero
+    source product x0 x1; coefficients at conductors 3, 4 and 12."""
+    z2 = FiniteGroup.cyclic(2)
+    tgt = GradedPresentation.elementary(z2, GTuple(z2, [0, 0]))
+    one, zeta3, zeta4 = C.one(), C.zeta(3, 1), C.zeta(4, 1)
+    src = StructureAlgebra(z2, [0, 0, 0], {
+        (0, 0): {0: one, 1: -one, 2: zeta3},
+        (1, 2): {0: zeta4, 1: -zeta4},
+        (2, 2): {2: zeta4}})
+    unit = {(i, j): tgt.basis_element((0, i, j))
+            for i in range(2) for j in range(2)}
+    images = {0: unit[0, 0] - unit[0, 1], 1: unit[0, 0] + unit[1, 0],
+              2: unit[0, 0].scale(zeta4)}
+    return GradedHom(src, tgt, images)
+
+
+def _element_apply(hom, element):
+    out = hom.target.zero()
+    for k, v in element.terms.items():
+        out = out + hom.images[k].scale(v)
+    return out
+
+
+def test_term_kernel_matches_element_route(monkeypatch):
+    """The oracle of the term-dict kernel: over every pair of basis keys
+    its failures equal the AlgebraElement route's, on the constructed maps,
+    their perturbations and perturbations aimed at its shortcuts; sums that
+    cancel are met on the way.  GradedHom.apply builds the same terms, at
+    the same conductors and in the same order, as the sum of scaled
+    images."""
+    dropped = []
+
+    def watched(out, terms, c):
+        before = set(out)
+        add_scaled(out, terms, c)
+        dropped.extend(before - out.keys())
+
+    add_scaled = galg._add_scaled
+    monkeypatch.setattr(galg, "_add_scaled", watched)
+    verdicts = set()
+    for hom in [*_constructed_maps(), _cancelling_map()]:
+        for variant in [hom, *_perturbed(hom), *_kernel_stress(hom)]:
+            keys = list(variant.source.basis_keys())
+            failures = galg._product_failures(variant, keys, keys)
+            assert failures == _element_route_failures(variant, keys, keys)
+            verdicts.add(not failures)
+            src = variant.source
+            element = src.element({k: C.zeta(12, n)
+                                   for n, k in enumerate(keys)})
+            for x in (element, src.one() or element):
+                got, want = variant.apply(x), _element_apply(variant, x)
+                assert [(k, v.conductor) for k, v in got.terms.items()] == \
+                    [(k, v.conductor) for k, v in want.terms.items()]
+                assert got == want
+    assert verdicts == {True, False} and dropped
